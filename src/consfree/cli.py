@@ -101,7 +101,7 @@ def cmd_run(args) -> int:
 def cmd_solve(args) -> int:
     atrs = _load_atrs(args.file)
     term = parse_term(args.basic, atrs, {})
-    result = solve(atrs, term, args.repr_budget, args.threads)
+    result = solve(atrs, term, args.repr_budget)
     forms = [print_term(t) for t in result.normal_forms]
     if args.json:
         print(
@@ -179,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     p_solve.add_argument("--basic", required=True)
     p_solve.add_argument("--repr-budget", type=int, default=DEFAULT_SPACE_BUDGET)
-    p_solve.add_argument("--threads", type=int, default=1)
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(fn=cmd_solve)
 
@@ -212,6 +211,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     except ReprSpaceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:
+        print(
+            "error: input nested too deeply for the interpreter's stack",
+            file=sys.stderr,
+        )
         return EXIT_BUDGET
     except (
         NotBasic,

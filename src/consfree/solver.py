@@ -6,17 +6,24 @@ functions between spaces, and a product sort denotes subsets of tuples.
 Statements `f A1 .. Am ~> t` are confirmed by a step-indexed fixpoint; the
 implementation materializes only the statements the root question demands,
 but computes for each of them exactly the step-indexed values of the full
-tabulation (evaluation at step i reads only step-(i-1) values, late-demanded
-statements are backfilled from step zero, and a statement is re-evaluated
-only when one of its recorded dependencies changed in the relevant window).
+tabulation: evaluation at step i reads only step-(i-1) values.
+
+The fixpoint runs in layers, one per step (semi-naive evaluation). Invariant:
+once layer L is done, every demanded statement's values are known through
+step L, and each statement that read one first confirmed at L is due at L+1.
+Layer L+1 evaluates only those due statements, found through a reverse index
+from each statement to the statements whose last evaluation read it; every
+other statement keeps its value without a visit. A statement demanded while
+layer L runs is new: its values are unknown, so an evaluation that reads it
+at step j is set aside while the new statements are backfilled, layer by
+layer, from step 1 through j, and is then retried. A statement is therefore
+evaluated at step 1 and at each step right after one that confirmed a
+statement it read, and at no other step.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -249,13 +256,29 @@ class Stmt:
 
 
 class _StmtState:
-    __slots__ = ("stmt", "up_to", "confirmed_at", "dep_states")
+    """A statement's confirmation state. `deps` are the states its last
+    evaluation read, `dependents` the states whose evaluations read it, and
+    `wake` the step of its next evaluation, if one is due. A state is `new`
+    from its demand until it joins a layer; its values past step 0 are
+    unknown until then."""
+
+    __slots__ = ("stmt", "confirmed_at", "deps", "dependents", "wake", "new")
 
     def __init__(self, stmt: Stmt) -> None:
         self.stmt = stmt
-        self.up_to = 0
         self.confirmed_at: Optional[int] = None
-        self.dep_states: Optional[Tuple["_StmtState", ...]] = None
+        self.deps: FrozenSet["_StmtState"] = frozenset()
+        self.dependents: Dict["_StmtState", None] = {}
+        self.wake: Optional[int] = None
+        self.new = True
+
+
+class _Blocked(Exception):
+    """An evaluation must read new states at `step`."""
+
+    def __init__(self, step: int) -> None:
+        super().__init__(step)
+        self.step = step
 
 
 @dataclass
@@ -277,7 +300,6 @@ class Solver:
         atrs: Atrs,
         B: Optional[BSet] = None,
         space_budget: int = DEFAULT_SPACE_BUDGET,
-        threads: int = 1,
     ):
         verdict = check(atrs)
         if atrs.pairing:
@@ -292,7 +314,6 @@ class Solver:
         self.atrs, self.removed_constructors = prune_ho_constructors(atrs)
         self.B = B if B is not None else BSet(frozenset())
         self.space_budget = space_budget
-        self.threads = max(1, threads)
         self.spaces: Dict[SimpleType, object] = {}
         self.symbols = self.atrs.symbols
         self.rules_by_head: Dict[str, List[Rule]] = {}
@@ -302,12 +323,15 @@ class Solver:
                 self.rules_by_head.setdefault(head.name, []).append(rule)
         self.confirmed_at: Dict[Stmt, int] = {}
         self.state: Dict[Stmt, _StmtState] = {}
-        self.demanded: Dict[Stmt, None] = {}
-        self.nf_memo: Dict[Tuple, Tuple[Repr, FrozenSet[Stmt]]] = {}
-        self.union_memo: Dict[Tuple, Tuple[FrozenSet, FrozenSet[Stmt]]] = {}
+        self.groups: Dict[Tuple, Tuple[_StmtState, ...]] = {}
+        self.union_memo: Dict[Tuple, Tuple[int, FrozenSet, FrozenSet[_StmtState]]] = {}
         self.plan_cache: Dict[Tuple, List] = {}
         self.targets_cache: Dict[SimpleType, List] = {}
         self.step = 0
+        # _due[k]: states to evaluate at step k; _new: states demanded but
+        # not yet joined
+        self._due: Dict[int, List[_StmtState]] = {}
+        self._new: List[_StmtState] = []
 
     # -- spaces and targets ---------------------------------------------
 
@@ -356,31 +380,21 @@ class Solver:
     # -- evaluation -----------------------------------------------------
 
     def nf(self, i: int, t: Term, eta: Tuple, deps: set) -> Repr:
-        """The representation of t at step i under environment eta."""
-        key = (i, t, eta)
-        hit = self.nf_memo.get(key)
-        if hit is not None:
-            value, sub_deps = hit
-            deps |= sub_deps
-            return value
-        local: set = set()
-        value = self._nf_compute(i, t, eta, local)
-        self.nf_memo[key] = (value, frozenset(local))
-        deps |= local
-        return value
-
-    def _nf_compute(self, i: int, t: Term, eta: Tuple, deps: set) -> Repr:
-        if is_data(t):
-            return self._data_value(t)
+        """The representation of t at step i under environment eta; adds the
+        states it reads to deps. Raises _Blocked if it must read a state
+        whose value at step i is not known yet."""
         head = t.head
-        if isinstance(head, PairHead):
-            left = self.nf(i, t.args[0], eta, deps)
-            right = self.nf(i, t.args[1], eta, deps)
-            return frozenset(
-                l + r
-                for l in _as_tuples(left, t.args[0].type)
-                for r in _as_tuples(right, t.args[1].type)
-            )
+        if isinstance(head, FuncSym):
+            if head.is_constructor:
+                if is_data(t):
+                    return self._data_value(t)
+                raise NonBSafeTerm(
+                    f"constructor term {print_term(t)} is not data"
+                )
+            arg_values = [self.nf(i, arg, eta, deps) for arg in t.args]
+            if isinstance(t.type, Arrow):
+                return self._tabulate(i, head, arg_values, deps)
+            return self._saturated(i, head, tuple(arg_values), deps)
         if isinstance(head, Variable):
             value = None
             for name, bound in eta:
@@ -392,28 +406,31 @@ class Solver:
             for arg in t.args:
                 value = value.apply(self.nf(i, arg, eta, deps))
             return value
-        if head.is_constructor:
-            raise NonBSafeTerm(
-                f"constructor term {print_term(t)} is not data"
-            )
-        arg_values = [self.nf(i, arg, eta, deps) for arg in t.args]
-        m = head.arity
-        if len(arg_values) == m:
-            return self._saturated(i, head, tuple(arg_values), deps)
-        return self._tabulate(i, head, arg_values, deps)
+        if is_data(t):
+            return self._data_value(t)
+        left = self.nf(i, t.args[0], eta, deps)
+        right = self.nf(i, t.args[1], eta, deps)
+        return frozenset(
+            l + r
+            for l in _as_tuples(left, t.args[0].type)
+            for r in _as_tuples(right, t.args[1].type)
+        )
 
     def _saturated(
         self, i: int, head: FuncSym, args: Tuple[Repr, ...], deps: set
     ) -> FrozenSet:
-        res_ty = result_type(head.type)
+        group = self.groups.get((head.name, args))
+        if group is None:
+            group = self._group(head, args)
+        deps.update(group)
         out = []
-        for target in self.targets(res_ty):
-            stmt = Stmt(head.name, args, target)
-            deps.add(stmt)
-            if self.conf(i, stmt):
-                out.append(target)
-        if isinstance(res_ty, Product):
-            return frozenset(out)
+        for state in group:
+            at = state.confirmed_at
+            if at is not None:
+                if at <= i:
+                    out.append(state.stmt.target)
+            elif state.new and i > 0:
+                raise _Blocked(i)
         return frozenset(out)
 
     def _tabulate(
@@ -497,129 +514,183 @@ class Solver:
             yield merged
 
     def rule_union(self, j: int, fname: str, args: Tuple[Repr, ...]):
-        """Everything any rule for fname can produce at step j."""
-        key = (j, fname, args)
+        """Everything any rule for fname can produce at step j, and the
+        states read to find it. The statements of one group are evaluated
+        at the same steps, so each group keeps only its last union."""
+        key = (fname, args)
         hit = self.union_memo.get(key)
-        if hit is not None:
-            return hit
+        if hit is not None and hit[0] == j:
+            return hit[1], hit[2]
         deps: set = set()
         out: set = set()
         for rhs, eta in self.plans(fname, args):
-            value = self.nf(j - 1, rhs, eta, deps)
-            out |= value
-        result = (frozenset(out), frozenset(deps))
-        self.union_memo[key] = result
-        return result
+            out |= self.nf(j - 1, rhs, eta, deps)
+        union, dep_states = frozenset(out), frozenset(deps)
+        self.union_memo[key] = (j, union, dep_states)
+        return union, dep_states
 
     def _state_for(self, stmt: Stmt) -> _StmtState:
         state = self.state.get(stmt)
         if state is None:
             state = _StmtState(stmt)
             self.state[stmt] = state
-            self.demanded[stmt] = None
+            self._new.append(state)
         return state
+
+    def _group(self, head: FuncSym, args: Tuple[Repr, ...]) -> Tuple[_StmtState, ...]:
+        """The states of `head args ~> t` for every target t, demanding them."""
+        group = tuple(
+            self._state_for(Stmt(head.name, args, target))
+            for target in self.targets(result_type(head.type))
+        )
+        self.groups[(head.name, args)] = group
+        return group
 
     def conf(self, i: int, stmt: Stmt) -> bool:
         """Whether the statement is confirmed at step i."""
-        return self._conf(i, self._state_for(stmt))
-
-    def _conf(self, i: int, state: _StmtState) -> bool:
-        if i <= 0:
-            return False
-        at = state.confirmed_at
-        if at is not None and at <= i:
-            return True
-        while state.up_to < i and state.confirmed_at is None:
-            if state.dep_states is not None:
-                step = None
-                base = state.up_to
-                for dep in state.dep_states:
-                    if dep.confirmed_at is None and dep.up_to < i - 1:
-                        self._conf(i - 1, dep)
-                    dep_at = dep.confirmed_at
-                    if dep_at is None or dep_at <= base - 1 or dep_at > i - 1:
-                        continue
-                    candidate = dep_at + 1
-                    if candidate > base and (step is None or candidate < step):
-                        step = candidate
-                if step is None:
-                    state.up_to = i
-                    break
-            else:
-                step = state.up_to + 1
-            stmt = state.stmt
-            union, deps = self.rule_union(step, stmt.fname, stmt.args)
-            state.dep_states = tuple(self._state_for(dep) for dep in deps)
-            state.up_to = max(state.up_to, step)
-            if stmt.target in union:
-                state.confirmed_at = step
-                self.confirmed_at[stmt] = step
-                break
+        state = self._state_for(stmt)
+        if state.new:
+            self._backfill(self.step)
+        while i > self.step and self._due:
+            self._layer([])
         at = state.confirmed_at
         return at is not None and at <= i
 
+    def _schedule(self, state: _StmtState, step: int) -> None:
+        state.wake = step
+        self._due.setdefault(step, []).append(state)
+
+    def _evaluate(self, state: _StmtState, step: int) -> None:
+        """Evaluate the state at step, reading the values at step-1."""
+        stmt = state.stmt
+        union, deps = self.rule_union(step, stmt.fname, stmt.args)
+        state.deps = deps
+        state.wake = None
+        wake = None
+        for dep in deps:
+            dep.dependents[state] = None
+            at = dep.confirmed_at
+            # a state read as unconfirmed, but confirmed since
+            if at is not None and at >= step and (wake is None or at < wake):
+                wake = at
+        if stmt.target not in union:
+            if wake is not None:
+                self._schedule(state, wake + 1)
+            return
+        state.confirmed_at = step
+        self.confirmed_at[stmt] = step
+        for reader in state.dependents:
+            if (
+                reader.confirmed_at is None
+                and (reader.wake is None or reader.wake > step + 1)
+                and state in reader.deps
+            ):
+                self._schedule(reader, step + 1)
+
     # -- the fixpoint loop ----------------------------------------------
 
+    def _run(self, first: int, last: int) -> None:
+        """Evaluate the due states at steps first..last in order. An
+        evaluation that must read new states is set aside while a nested
+        run backfills them from step 1 to the step it reads, and retried;
+        an explicit stack of runs replaces recursion."""
+        if first > last:
+            return
+        runs = [[first, last, [], 0]]
+        while runs:
+            run = runs[-1]
+            k, last, bucket, index = run
+            if index == len(bucket):
+                bucket = self._due.pop(k, None)
+                if bucket is None:
+                    if k == last:
+                        runs.pop()
+                    else:
+                        run[0] = k + 1
+                    continue
+                run[2] = bucket
+                run[3] = index = 0
+            state = bucket[index]
+            if state.confirmed_at is None and state.wake == k:
+                try:
+                    self._evaluate(state, k)
+                except _Blocked as blocked:
+                    self._join()
+                    runs.append([1, blocked.step, [], 0])
+                    continue
+                if self._new:  # demanded while reading step 0
+                    self._join()
+            run[3] = index + 1
+
+    def _join(self) -> None:
+        """Make the new states members of the layer structure, due at step 1."""
+        for state in self._new:
+            state.new = False
+            self._schedule(state, 1)
+        self._new = []
+
+    def _backfill(self, last: int) -> None:
+        """Bring the new states' values up to date through step last."""
+        self._join()
+        self._run(1, last)
+
+    def _layer(self, queries: List[Tuple[Term, Tuple]]) -> List[Repr]:
+        """Run layer L = step + 1, and evaluate the queries at L. Only the
+        states due at L are evaluated: those that read a state confirmed at
+        L-1. States demanded on the way are backfilled from step 1."""
+        self.step += 1
+        L = self.step
+        if self._new:
+            self._backfill(L - 1)
+        self._run(L, L)
+        values: List[Repr] = []
+        while queries and not values:
+            try:
+                values = [self.nf(L, t, eta, set()) for t, eta in queries]
+            except _Blocked as blocked:
+                self._backfill(blocked.step)
+        return values
+
+    def _fixpoint(self, queries: List[Tuple[Term, Tuple]]) -> List[Repr]:
+        """Run layers until one confirms and demands nothing new and the
+        queries' values repeat; returns those values."""
+        previous: Optional[List[Repr]] = None
+        rounds = 0
+        while True:
+            before = (len(self.confirmed_at), len(self.state))
+            values = self._layer(queries)
+            stable = (len(self.confirmed_at), len(self.state)) == before
+            if stable and (not queries or values == previous):
+                return values
+            previous = values
+            rounds += 1
+            if rounds > len(self.state) + len(queries) + 2:
+                raise AssertionError("fixpoint exceeded the statement bound")
+
     def advance_to_fixpoint(self, seeds: List[Stmt]) -> int:
-        """Run passes of increasing step until the demanded fragment is stable;
-        returns the quiescence step."""
-        limit = sys.getrecursionlimit()
-        if limit < 100000:
-            sys.setrecursionlimit(100000)
+        """Demand the seeds and run layers to the fixpoint; returns the step
+        of the last layer."""
         for stmt in seeds:
             self._state_for(stmt)
-        while True:
-            self.step += 1
-            before = (len(self.confirmed_at), len(self.state))
-            done = 0
-            while done < len(self.state):
-                batch = list(self.state.values())[done:]
-                done += len(batch)
-                if self.threads > 1:
-                    with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                        list(pool.map(lambda s: self._conf(self.step, s), batch))
-                else:
-                    for st in batch:
-                        self._conf(self.step, st)
-            if (len(self.confirmed_at), len(self.state)) == before:
-                return self.step
-            if self.step > len(self.state) + 2:
-                raise AssertionError("fixpoint exceeded the statement bound")
+        self._fixpoint([])
+        return self.step
 
     def evaluate(self, queries: List[Tuple[Term, Tuple]]) -> List[Repr]:
         """Evaluate terms under environments at the stable table, extending the
         demanded fragment as needed."""
-        previous: Optional[List[Repr]] = None
-        while True:
-            self.step += 1
-            deps: set = set()
-            values = [self.nf(self.step, t, eta, deps) for t, eta in queries]
-            before = (len(self.confirmed_at), len(self.state))
-            done = 0
-            while done < len(self.state):
-                batch = list(self.state.values())[done:]
-                done += len(batch)
-                for st in batch:
-                    self._conf(self.step, st)
-            stable = (len(self.confirmed_at), len(self.state)) == before
-            if stable and values == previous:
-                return values
-            previous = values
-            if self.step > len(self.state) + len(queries) + 4:
-                raise AssertionError("evaluation exceeded the statement bound")
+        return self._fixpoint(queries)
 
 
 def solve(
     atrs: Atrs,
     s: Term,
     space_budget: int = DEFAULT_SPACE_BUDGET,
-    threads: int = 1,
 ) -> SolveResult:
     """All data normal forms reachable from the basic term s, computed by
     statement saturation (no rewriting)."""
     if not is_basic(s):
         raise NotBasic(f"{print_term(s)} is not a basic term")
-    solver = Solver(atrs, None, space_budget, threads)
+    solver = Solver(atrs, None, space_budget)
     solver.B = compute_B(s, solver.atrs)
     head = s.head
     if head.name not in solver.symbols:
@@ -636,7 +707,7 @@ def solve(
         sorted(found, key=print_term),
         steps,
         solver.statement_count(),
-        len(solver.demanded),
+        len(solver.state),
         solver,
     )
 
@@ -645,12 +716,11 @@ def solve_product(
     atrs: Atrs,
     s: Term,
     space_budget: int = DEFAULT_SPACE_BUDGET,
-    threads: int = 1,
 ) -> SolveResult:
     """solve for systems with pairing; the system must use it."""
     if not atrs.pairing:
         raise NotProductConsFree("the system does not use pairing")
-    return solve(atrs, s, space_budget, threads)
+    return solve(atrs, s, space_budget)
 
 
 def _flatten_data(t: Term) -> Tuple[Term, ...]:

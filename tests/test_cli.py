@@ -66,6 +66,19 @@ def test_run_exhaustion_is_exit_2(capsys):
     assert "exhausted=true" in out
 
 
+@pytest.mark.parametrize("command,flag", [("run", "--term"), ("solve", "--basic")])
+def test_over_deep_input_is_exit_2_without_a_traceback(command, flag):
+    deep = "majority (" + " ; ".join(["1"] * 600) + " ; [])"
+    done = subprocess.run(
+        [sys.executable, "-m", "consfree.cli", command, MAJORITY, flag, deep],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
+
+
 def test_solve_reports_statements(capsys):
     code, out, _ = run_cli(["solve", MAJORITY, "--basic", "majority (1;0;[])"], capsys)
     assert code == 0
@@ -135,14 +148,12 @@ def test_compile_tm_pairing_gate(tmp_path, capsys):
     assert run_cli(argv + ["--pairing"], capsys)[0] == 0
 
 
-def test_output_is_deterministic_across_runs_and_threads():
+def test_output_is_deterministic_across_runs():
     argv = [sys.executable, "-m", "consfree.cli", "solve", MAJORITY,
             "--basic", "majority (1;0;[])", "--json"]
     outputs = set()
-    for threads in ("1", "4", "1"):
-        done = subprocess.run(
-            argv + ["--threads", threads], capture_output=True, check=True
-        )
+    for _ in range(3):
+        done = subprocess.run(argv, capture_output=True, check=True)
         outputs.add(done.stdout)
     assert len(outputs) == 1
 

@@ -1,11 +1,16 @@
 """Saturation solver: exactness against the engine, fixpoint properties,
 representation spaces, and the cardinality bound."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from consfree.compiler import compile_tm
 from consfree.engine import Budget, search_data_normal_forms
+from consfree.modules import parse_module_expr
 from consfree.solver import (
     NotConsFree,
     NotProductConsFree,
@@ -19,11 +24,12 @@ from consfree.solver import (
     solve,
     solve_product,
 )
-from consfree.syntax import parse_atrs
-from consfree.terms import Arrow, Product, Sort, print_term
+from consfree.syntax import encode_input, parse_atrs, parse_tm
+from consfree.terms import Arrow, Product, Sort, print_term, sym_term
+from consfree.tm import simulate_tm
 from consfree.validation import BSet, NotBasic, compute_B, prune_ho_constructors
 
-from conftest import load, term
+from conftest import CORPUS, corpus_text, load, term
 
 SATURATING = [
     ("majority.atrs", "majority (1 ; 0 ; [])"),
@@ -87,9 +93,14 @@ def test_pruned_system_solves_like_the_unpruned_one():
         assert solve(atrs, s).normal_forms == solve(pruned, s).normal_forms
 
 
+def counts(result):
+    return result.steps, result.demanded, len(result.solver.confirmed_at)
+
+
 def test_statement_count_and_spaces_on_majority(majority):
     result = solve(majority, term("majority (1 ; 0 ; [])", majority))
     assert result.statements == 1168
+    assert counts(result) == (7, 12, 6)
     solver = result.solver
     assert solver.space(Sort("symb")).card == 4
     assert solver.space(Sort("list")).card == 8
@@ -102,6 +113,38 @@ def test_confirmed_monotone_and_terminating(majority):
     for stmt, confirmed_at in solver.confirmed_at.items():
         for i in range(0, result.steps + 2):
             assert solver.conf(i, stmt) == (0 < confirmed_at <= i)
+
+
+def test_fixpoint_counts_are_exact_on_a_compiled_machine():
+    tm = parse_tm(corpus_text("parity.tm"))
+    atrs = compile_tm(tm, parse_module_expr("e")).atrs
+    result = solve(atrs, sym_term(atrs.symbols["decide"], encode_input("01", atrs)))
+    assert simulate_tm(tm, "01").accepted
+    assert [print_term(t) for t in result.normal_forms] == ["true"]
+    assert counts(result) == (53, 6474, 1244)
+
+
+def test_solve_leaves_the_recursion_limit_alone():
+    # a fresh interpreter, so no earlier test has moved the limit
+    script = (
+        "import sys\n"
+        "from consfree.syntax import parse_atrs, parse_term\n"
+        "from consfree.solver import solve\n"
+        "atrs = parse_atrs(open(sys.argv[1]).read())\n"
+        "before = sys.getrecursionlimit()\n"
+        "solve(atrs, parse_term('majority (1 ; 0 ; [])', atrs, {}))\n"
+        "print(before, sys.getrecursionlimit())\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(CORPUS.parents[1]), os.environ.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(CORPUS / "majority.atrs")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    before, after = done.stdout.split()
+    assert before == after
 
 
 def test_early_confirmation_of_the_compare_statement(majority):
