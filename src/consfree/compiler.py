@@ -14,6 +14,7 @@ from .modules import (
     ModuleError,
     ModuleInstance,
     gen_module,
+    signature_preamble,
     _ty,
     _vec,
 )
@@ -87,10 +88,6 @@ def compile_tm(tm: TMachine, expr) -> CompiledSystem:
         for t in tm.transitions
     )]
     lines.append(f"// counting module: {inst.path}")
-    lines.append("sort symb list bool state direction trans ;")
-    if inst.pairing:
-        lines.append("pairing ;")
-    tape_symbols = [_symbol_name(s) for s in tm.tape_alphabet]
     for sym in tm.tape_alphabet:
         if sym != BLANK:
             _check_name(sym, "tape symbol")
@@ -98,13 +95,12 @@ def compile_tm(tm: TMachine, expr) -> CompiledSystem:
         raise ModuleError(
             f"tape symbol {BLANK_SYMBOL!r} is reserved for the blank"
         )
-    for name in tape_symbols:
-        lines.append(f"cons {name} : symb ;")
+    lines += signature_preamble(
+        inst.pairing,
+        [_symbol_name(s) for s in tm.tape_alphabet],
+        [STATE.name, DIRECTION.name, TRANS.name],
+    )
     lines += [
-        "cons [] : list ;",
-        "cons cons : symb => list => list ;",
-        "cons true : bool ;",
-        "cons false : bool ;",
         "cons L : direction ;",
         "cons R : direction ;",
         "cons NA : trans ;",

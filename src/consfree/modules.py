@@ -4,7 +4,7 @@ over a fixed input list, exposing seed / pred / succ / zero / equal symbols."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .syntax import encode_input, parse_atrs
 from .terms import (
@@ -632,19 +632,28 @@ def _gen_expab(expr, path: str) -> ModuleInstance:
     return inst
 
 
-def module_source(inst: ModuleInstance, input_symbols: str = "01") -> str:
-    """A complete system: base signature plus the module's rules."""
-    lines = ["sort symb list bool ;"]
-    if inst.pairing:
+def signature_preamble(
+    pairing: bool, symbols: Sequence[str], extra_sorts: Sequence[str] = ()
+) -> List[str]:
+    """The opening lines of a generated system: its sorts, the pairing
+    directive if the module needs it, a constructor per symbol, and the list
+    and boolean constructors."""
+    lines = ["sort " + " ".join(["symb", "list", "bool", *extra_sorts]) + " ;"]
+    if pairing:
         lines.append("pairing ;")
-    for ch in input_symbols:
-        lines.append(f"cons {ch} : symb ;")
+    lines += [f"cons {name} : symb ;" for name in symbols]
     lines += [
         "cons [] : list ;",
         "cons cons : symb => list => list ;",
         "cons true : bool ;",
         "cons false : bool ;",
     ]
+    return lines
+
+
+def module_source(inst: ModuleInstance, input_symbols: str = "01") -> str:
+    """A complete system: base signature plus the module's rules."""
+    lines = signature_preamble(inst.pairing, input_symbols)
     lines += inst.decls
     lines += inst.rules
     return "\n".join(lines) + "\n"

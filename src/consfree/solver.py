@@ -8,17 +8,21 @@ implementation materializes only the statements the root question demands,
 but computes for each of them exactly the step-indexed values of the full
 tabulation: evaluation at step i reads only step-(i-1) values.
 
+The statements that share `f A1 .. Am` form a group: they are confirmed from
+one value, what any rule instance for `f A1 .. Am` produces at the previous
+step, so the group is the unit of evaluation and storage.
+
 The fixpoint runs in layers, one per step (semi-naive evaluation). Invariant:
-once layer L is done, every demanded statement's values are known through
-step L, and each statement that read one first confirmed at L is due at L+1.
-Layer L+1 evaluates only those due statements, found through a reverse index
-from each statement to the statements whose last evaluation read it; every
-other statement keeps its value without a visit. A statement demanded while
+once layer L is done, every demanded group's values are known through step L,
+and each open group that read one with a statement first confirmed at L is
+due at L+1. Layer L+1 evaluates only those due groups, found through a
+reverse index from each group to the groups whose last evaluation read it;
+every other group keeps its values without a visit. A group demanded while
 layer L runs is new: its values are unknown, so an evaluation that reads it
-at step j is set aside while the new statements are backfilled, layer by
-layer, from step 1 through j, and is then retried. A statement is therefore
-evaluated at step 1 and at each step right after one that confirmed a
-statement it read, and at no other step.
+at step j is set aside while the new groups are backfilled, layer by layer,
+from step 1 through j, and is then retried. A group is therefore evaluated at
+step 1 and again right after each step that confirmed a statement of a group
+it read, while it has an unconfirmed statement, and at no other step.
 """
 
 from __future__ import annotations
@@ -180,14 +184,6 @@ def build_space(ty: SimpleType, B: BSet, budget: int, cache: Dict) -> object:
     return space
 
 
-def enumerate_reprs(
-    ty: SimpleType, B: BSet, budget: int = DEFAULT_SPACE_BUDGET
-) -> List[Repr]:
-    """All representations of a type, in index order."""
-    space = build_space(ty, B, budget, {})
-    return [space.elem_at(i) for i in range(space.card)]
-
-
 def repr_cardinality(ty: SimpleType, sort_sizes: Dict[str, int]) -> int:
     """Exact representation-space size from per-sort universe sizes."""
     if isinstance(ty, Sort):
@@ -247,34 +243,35 @@ class Stmt:
     args: Tuple[Repr, ...]
     target: object  # a data term, or a tuple of data terms for product sorts
 
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.fname, self.args, self.target))
-            object.__setattr__(self, "_hash", cached)
-        return cached
 
+class _Group:
+    """The statements `fname args ~> t` for every target t. `confirmed_at`
+    runs parallel to `targets`; `plans` are the rule instances, built on
+    first evaluation. `deps` are the groups its last evaluation read,
+    `dependents` the groups whose evaluations read it, and `wake` the step of
+    its next evaluation, if one is due. A group with targets is `new` from
+    its demand until it joins a layer; its values past step 0 are unknown
+    until then."""
 
-class _StmtState:
-    """A statement's confirmation state. `deps` are the states its last
-    evaluation read, `dependents` the states whose evaluations read it, and
-    `wake` the step of its next evaluation, if one is due. A state is `new`
-    from its demand until it joins a layer; its values past step 0 are
-    unknown until then."""
+    __slots__ = (
+        "fname", "args", "targets", "confirmed_at", "plans", "deps",
+        "dependents", "wake", "new",
+    )
 
-    __slots__ = ("stmt", "confirmed_at", "deps", "dependents", "wake", "new")
-
-    def __init__(self, stmt: Stmt) -> None:
-        self.stmt = stmt
-        self.confirmed_at: Optional[int] = None
-        self.deps: FrozenSet["_StmtState"] = frozenset()
-        self.dependents: Dict["_StmtState", None] = {}
+    def __init__(self, fname: str, args: Tuple[Repr, ...], targets: List) -> None:
+        self.fname = fname
+        self.args = args
+        self.targets = targets
+        self.confirmed_at: List[Optional[int]] = [None] * len(targets)
+        self.plans: Optional[List] = None
+        self.deps: FrozenSet["_Group"] = frozenset()
+        self.dependents: Dict["_Group", None] = {}
         self.wake: Optional[int] = None
-        self.new = True
+        self.new = bool(targets)
 
 
 class _Blocked(Exception):
-    """An evaluation must read new states at `step`."""
+    """An evaluation must read new groups at `step`."""
 
     def __init__(self, step: int) -> None:
         super().__init__(step)
@@ -322,16 +319,14 @@ class Solver:
             if isinstance(head, FuncSym):
                 self.rules_by_head.setdefault(head.name, []).append(rule)
         self.confirmed_at: Dict[Stmt, int] = {}
-        self.state: Dict[Stmt, _StmtState] = {}
-        self.groups: Dict[Tuple, Tuple[_StmtState, ...]] = {}
-        self.union_memo: Dict[Tuple, Tuple[int, FrozenSet, FrozenSet[_StmtState]]] = {}
-        self.plan_cache: Dict[Tuple, List] = {}
+        self.groups: Dict[Tuple, _Group] = {}
         self.targets_cache: Dict[SimpleType, List] = {}
         self.step = 0
-        # _due[k]: states to evaluate at step k; _new: states demanded but
-        # not yet joined
-        self._due: Dict[int, List[_StmtState]] = {}
-        self._new: List[_StmtState] = []
+        # _demanded: statements over all groups; _due[k]: groups to evaluate
+        # at step k; _new: groups demanded but not yet joined
+        self._demanded = 0
+        self._due: Dict[int, List[_Group]] = {}
+        self._new: List[_Group] = []
 
     # -- spaces and targets ---------------------------------------------
 
@@ -381,8 +376,8 @@ class Solver:
 
     def nf(self, i: int, t: Term, eta: Tuple, deps: set) -> Repr:
         """The representation of t at step i under environment eta; adds the
-        states it reads to deps. Raises _Blocked if it must read a state
-        whose value at step i is not known yet."""
+        groups it reads to deps. Raises _Blocked if it must read a group
+        whose values at step i are not known yet."""
         head = t.head
         if isinstance(head, FuncSym):
             if head.is_constructor:
@@ -421,17 +416,15 @@ class Solver:
     ) -> FrozenSet:
         group = self.groups.get((head.name, args))
         if group is None:
-            group = self._group(head, args)
-        deps.update(group)
-        out = []
-        for state in group:
-            at = state.confirmed_at
-            if at is not None:
-                if at <= i:
-                    out.append(state.stmt.target)
-            elif state.new and i > 0:
-                raise _Blocked(i)
-        return frozenset(out)
+            group = self._group(head.name, args)
+        deps.add(group)
+        if group.new and i > 0:
+            raise _Blocked(i)
+        return frozenset(
+            target
+            for target, at in zip(group.targets, group.confirmed_at)
+            if at is not None and at <= i
+        )
 
     def _tabulate(
         self, i: int, head: FuncSym, prefix: List[Repr], deps: set
@@ -456,11 +449,7 @@ class Solver:
     # -- statements -----------------------------------------------------
 
     def plans(self, fname: str, args: Tuple[Repr, ...]) -> List:
-        """Instantiated right-hand sides and environments for a statement."""
-        key = (fname, args)
-        cached = self.plan_cache.get(key)
-        if cached is not None:
-            return cached
+        """Instantiated right-hand sides and environments for `fname args`."""
         sym = self.symbols[fname]
         types = arg_types(sym.type)
         m = sym.arity
@@ -483,7 +472,6 @@ class Solver:
             eta = tuple(sorted(eta_base))
             for subst in self._match_choices(fixed, args, types):
                 plans.append((apply_subst(rhs, subst), eta))
-        self.plan_cache[key] = plans
         return plans
 
     def _match_choices(
@@ -513,85 +501,76 @@ class Solver:
                 merged.update(subst)
             yield merged
 
-    def rule_union(self, j: int, fname: str, args: Tuple[Repr, ...]):
-        """Everything any rule for fname can produce at step j, and the
-        states read to find it. The statements of one group are evaluated
-        at the same steps, so each group keeps only its last union."""
-        key = (fname, args)
-        hit = self.union_memo.get(key)
-        if hit is not None and hit[0] == j:
-            return hit[1], hit[2]
+    def rule_union(self, j: int, group: _Group):
+        """Everything any rule instance for the group's call can produce at
+        step j, and the groups read to find it."""
+        if group.plans is None:
+            group.plans = self.plans(group.fname, group.args)
         deps: set = set()
         out: set = set()
-        for rhs, eta in self.plans(fname, args):
+        for rhs, eta in group.plans:
             out |= self.nf(j - 1, rhs, eta, deps)
-        union, dep_states = frozenset(out), frozenset(deps)
-        self.union_memo[key] = (j, union, dep_states)
-        return union, dep_states
+        return frozenset(out), frozenset(deps)
 
-    def _state_for(self, stmt: Stmt) -> _StmtState:
-        state = self.state.get(stmt)
-        if state is None:
-            state = _StmtState(stmt)
-            self.state[stmt] = state
-            self._new.append(state)
-        return state
-
-    def _group(self, head: FuncSym, args: Tuple[Repr, ...]) -> Tuple[_StmtState, ...]:
-        """The states of `head args ~> t` for every target t, demanding them."""
-        group = tuple(
-            self._state_for(Stmt(head.name, args, target))
-            for target in self.targets(result_type(head.type))
-        )
-        self.groups[(head.name, args)] = group
+    def _group(self, fname: str, args: Tuple[Repr, ...]) -> _Group:
+        """The group of `fname args ~> t` for every target t, demanding it."""
+        group = self.groups.get((fname, args))
+        if group is None:
+            targets = self.targets(result_type(self.symbols[fname].type))
+            group = self.groups[(fname, args)] = _Group(fname, args, targets)
+            self._demanded += len(targets)
+            if group.new:
+                self._new.append(group)
         return group
 
     def conf(self, i: int, stmt: Stmt) -> bool:
         """Whether the statement is confirmed at step i."""
-        state = self._state_for(stmt)
-        if state.new:
+        if self._group(stmt.fname, stmt.args).new:
             self._backfill(self.step)
         while i > self.step and self._due:
             self._layer([])
-        at = state.confirmed_at
+        at = self.confirmed_at.get(stmt)
         return at is not None and at <= i
 
-    def _schedule(self, state: _StmtState, step: int) -> None:
-        state.wake = step
-        self._due.setdefault(step, []).append(state)
+    def _schedule(self, group: _Group, step: int) -> None:
+        group.wake = step
+        self._due.setdefault(step, []).append(group)
 
-    def _evaluate(self, state: _StmtState, step: int) -> None:
-        """Evaluate the state at step, reading the values at step-1."""
-        stmt = state.stmt
-        union, deps = self.rule_union(step, stmt.fname, stmt.args)
-        state.deps = deps
-        state.wake = None
+    def _evaluate(self, group: _Group, step: int) -> None:
+        """Evaluate the group at step, reading the values at step-1."""
+        union, deps = self.rule_union(step, group)
+        group.deps = deps
+        group.wake = None
         wake = None
         for dep in deps:
-            dep.dependents[state] = None
-            at = dep.confirmed_at
-            # a state read as unconfirmed, but confirmed since
-            if at is not None and at >= step and (wake is None or at < wake):
-                wake = at
-        if stmt.target not in union:
-            if wake is not None:
-                self._schedule(state, wake + 1)
+            dep.dependents[group] = None
+            # a statement read as unconfirmed, but confirmed since
+            for at in dep.confirmed_at:
+                if at is not None and at >= step and (wake is None or at < wake):
+                    wake = at
+        confirmed = False
+        for index, target in enumerate(group.targets):
+            if group.confirmed_at[index] is None and target in union:
+                group.confirmed_at[index] = step
+                self.confirmed_at[Stmt(group.fname, group.args, target)] = step
+                confirmed = True
+        if wake is not None and None in group.confirmed_at:
+            self._schedule(group, wake + 1)
+        if not confirmed:
             return
-        state.confirmed_at = step
-        self.confirmed_at[stmt] = step
-        for reader in state.dependents:
+        for reader in group.dependents:
             if (
-                reader.confirmed_at is None
+                None in reader.confirmed_at
                 and (reader.wake is None or reader.wake > step + 1)
-                and state in reader.deps
+                and group in reader.deps
             ):
                 self._schedule(reader, step + 1)
 
     # -- the fixpoint loop ----------------------------------------------
 
     def _run(self, first: int, last: int) -> None:
-        """Evaluate the due states at steps first..last in order. An
-        evaluation that must read new states is set aside while a nested
+        """Evaluate the due groups at steps first..last in order. An
+        evaluation that must read new groups is set aside while a nested
         run backfills them from step 1 to the step it reads, and retried;
         an explicit stack of runs replaces recursion."""
         if first > last:
@@ -610,10 +589,10 @@ class Solver:
                     continue
                 run[2] = bucket
                 run[3] = index = 0
-            state = bucket[index]
-            if state.confirmed_at is None and state.wake == k:
+            group = bucket[index]
+            if group.wake == k:
                 try:
-                    self._evaluate(state, k)
+                    self._evaluate(group, k)
                 except _Blocked as blocked:
                     self._join()
                     runs.append([1, blocked.step, [], 0])
@@ -623,21 +602,21 @@ class Solver:
             run[3] = index + 1
 
     def _join(self) -> None:
-        """Make the new states members of the layer structure, due at step 1."""
-        for state in self._new:
-            state.new = False
-            self._schedule(state, 1)
+        """Make the new groups members of the layer structure, due at step 1."""
+        for group in self._new:
+            group.new = False
+            self._schedule(group, 1)
         self._new = []
 
     def _backfill(self, last: int) -> None:
-        """Bring the new states' values up to date through step last."""
+        """Bring the new groups' values up to date through step last."""
         self._join()
         self._run(1, last)
 
     def _layer(self, queries: List[Tuple[Term, Tuple]]) -> List[Repr]:
         """Run layer L = step + 1, and evaluate the queries at L. Only the
-        states due at L are evaluated: those that read a state confirmed at
-        L-1. States demanded on the way are backfilled from step 1."""
+        groups due at L are evaluated: those that read a statement confirmed
+        at L-1. Groups demanded on the way are backfilled from step 1."""
         self.step += 1
         L = self.step
         if self._new:
@@ -657,21 +636,21 @@ class Solver:
         previous: Optional[List[Repr]] = None
         rounds = 0
         while True:
-            before = (len(self.confirmed_at), len(self.state))
+            before = (len(self.confirmed_at), self._demanded)
             values = self._layer(queries)
-            stable = (len(self.confirmed_at), len(self.state)) == before
+            stable = (len(self.confirmed_at), self._demanded) == before
             if stable and (not queries or values == previous):
                 return values
             previous = values
             rounds += 1
-            if rounds > len(self.state) + len(queries) + 2:
+            if rounds > self._demanded + len(queries) + 2:
                 raise AssertionError("fixpoint exceeded the statement bound")
 
     def advance_to_fixpoint(self, seeds: List[Stmt]) -> int:
         """Demand the seeds and run layers to the fixpoint; returns the step
         of the last layer."""
         for stmt in seeds:
-            self._state_for(stmt)
+            self._group(stmt.fname, stmt.args)
         self._fixpoint([])
         return self.step
 
@@ -702,25 +681,14 @@ def solve(
     found = []
     for stmt in seeds:
         if solver.conf(steps, stmt):
-            found.append(_target_term(stmt.target, res_ty))
+            found.append(_member_term(stmt.target, res_ty))
     return SolveResult(
         sorted(found, key=print_term),
         steps,
         solver.statement_count(),
-        len(solver.state),
+        solver._demanded,
         solver,
     )
-
-
-def solve_product(
-    atrs: Atrs,
-    s: Term,
-    space_budget: int = DEFAULT_SPACE_BUDGET,
-) -> SolveResult:
-    """solve for systems with pairing; the system must use it."""
-    if not atrs.pairing:
-        raise NotProductConsFree("the system does not use pairing")
-    return solve(atrs, s, space_budget)
 
 
 def _flatten_data(t: Term) -> Tuple[Term, ...]:
@@ -756,9 +724,3 @@ def _rebuild(parts: Tuple, ty: SimpleType) -> Term:
         return parts[0]
     left_width = len(flatten_product(ty.left))
     return pair(_rebuild(parts[:left_width], ty.left), _rebuild(parts[left_width:], ty.right))
-
-
-def _target_term(target, ty: SimpleType) -> Term:
-    if isinstance(ty, Product):
-        return _member_term(target, ty)
-    return target

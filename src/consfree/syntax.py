@@ -364,15 +364,6 @@ def _build(u: UTerm, symbols: Dict[str, FuncSym], env: Dict[str, object]) -> Ter
     return pair(_build(u.left, symbols, env), _build(u.right, symbols, env))
 
 
-def type_of(
-    u: UTerm, symbols: Dict[str, FuncSym], var_types: Dict[str, SimpleType]
-) -> SimpleType:
-    """Infer the type of an untyped term under the given variable typing."""
-    env: Dict[str, object] = dict(var_types)
-    ty = _infer(u, symbols, env)
-    return _zonk(ty)
-
-
 def _check_pairing(u: UTerm, pairing: bool) -> None:
     if isinstance(u, UPair):
         if not pairing:

@@ -396,13 +396,6 @@ class Atrs:
     def defined_symbols(self) -> List[FuncSym]:
         return [f for f in self.symbols.values() if not f.is_constructor]
 
-    def rules_for(self, name: str) -> List[Rule]:
-        return [
-            r
-            for r in self.rules
-            if isinstance(r.lhs.head, FuncSym) and r.lhs.head.name == name
-        ]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Atrs):
             return NotImplemented

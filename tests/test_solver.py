@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -13,16 +14,13 @@ from consfree.engine import Budget, search_data_normal_forms
 from consfree.modules import parse_module_expr
 from consfree.solver import (
     NotConsFree,
-    NotProductConsFree,
     ReprSpaceTooLarge,
     Solver,
     Stmt,
     build_space,
     within_cardinality_bound,
-    enumerate_reprs,
     repr_cardinality,
     solve,
-    solve_product,
 )
 from consfree.syntax import encode_input, parse_atrs, parse_tm
 from consfree.terms import Arrow, Product, Sort, print_term, sym_term
@@ -97,10 +95,29 @@ def counts(result):
     return result.steps, result.demanded, len(result.solver.confirmed_at)
 
 
-def test_statement_count_and_spaces_on_majority(majority):
+def count_evaluations(monkeypatch):
+    """Count the returns of Solver.rule_union per (step, fname, args); an
+    evaluation set aside by a blocked read raises and is not counted."""
+    evaluations = Counter()
+    original = Solver.rule_union
+
+    def counted(self, j, group):
+        result = original(self, j, group)
+        evaluations[(j, group.fname, group.args)] += 1
+        return result
+
+    monkeypatch.setattr(Solver, "rule_union", counted)
+    return evaluations
+
+
+def test_statement_count_and_spaces_on_majority(majority, monkeypatch):
+    evaluations = count_evaluations(monkeypatch)
     result = solve(majority, term("majority (1 ; 0 ; [])", majority))
     assert result.statements == 1168
     assert counts(result) == (7, 12, 6)
+    # each statement group is evaluated at most once per step
+    assert len(evaluations) == 11
+    assert max(evaluations.values()) == 1
     solver = result.solver
     assert solver.space(Sort("symb")).card == 4
     assert solver.space(Sort("list")).card == 8
@@ -115,13 +132,16 @@ def test_confirmed_monotone_and_terminating(majority):
             assert solver.conf(i, stmt) == (0 < confirmed_at <= i)
 
 
-def test_fixpoint_counts_are_exact_on_a_compiled_machine():
+def test_fixpoint_counts_are_exact_on_a_compiled_machine(monkeypatch):
     tm = parse_tm(corpus_text("parity.tm"))
     atrs = compile_tm(tm, parse_module_expr("e")).atrs
+    evaluations = count_evaluations(monkeypatch)
     result = solve(atrs, sym_term(atrs.symbols["decide"], encode_input("01", atrs)))
     assert simulate_tm(tm, "01").accepted
     assert [print_term(t) for t in result.normal_forms] == ["true"]
     assert counts(result) == (53, 6474, 1244)
+    assert len(evaluations) == 3904
+    assert max(evaluations.values()) == 1
 
 
 def test_solve_leaves_the_recursion_limit_alone():
@@ -169,23 +189,23 @@ def test_solve_product_on_a_projection():
     s = term("start (1 ; [])", atrs)
     oracle = search_data_normal_forms(s, atrs)
     assert not oracle.exhausted
-    result = solve_product(atrs, s)
+    result = solve(atrs, s)
     assert {print_term(t) for t in result.normal_forms} == {"0"}
     assert set(result.normal_forms) == set(oracle.data_normal_forms)
-
-
-def test_solve_product_requires_pairing(majority):
-    with pytest.raises(NotProductConsFree):
-        solve_product(majority, term("majority []", majority))
 
 
 def test_repr_enumeration_is_canonical():
     majority = load("majority.atrs")
     s = term("majority (1 ; 0 ; [])", majority)
     B = compute_B(s, majority)
-    lists = enumerate_reprs(Sort("list"), B)
+
+    def elements(ty):
+        space = build_space(ty, B, 2 ** 20, {})
+        return [space.elem_at(i) for i in range(space.card)]
+
+    lists = elements(Sort("list"))
     assert len(lists) == len(set(lists)) == 8
-    fns = enumerate_reprs(Arrow(Sort("symb"), Sort("symb")), B)
+    fns = elements(Arrow(Sort("symb"), Sort("symb")))
     assert len(fns) == len(set(fns)) == 4 ** 4
 
 
