@@ -141,9 +141,10 @@ def cmd_compile_tm(args) -> int:
 def cmd_selftest_module(args) -> int:
     expr = parse_module_expr(args.module)
     report = module_selftest(expr, args.n, args.repr_budget)
-    print(f"count={report.bound} OK")
     if args.json:
         print(json.dumps({"bound": report.bound, "checks": report.checks}))
+    else:
+        print(f"count={report.bound} OK")
     return EXIT_OK
 
 
@@ -206,7 +207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ReprSpaceTooLarge as exc:

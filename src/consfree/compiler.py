@@ -5,6 +5,7 @@ queries about the final configuration."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List
 
 from .modules import (
@@ -13,9 +14,10 @@ from .modules import (
     SYMB,
     ModuleError,
     ModuleInstance,
+    emit_fun,
+    emit_rule,
     gen_module,
     signature_preamble,
-    _ty,
     _vec,
 )
 from .syntax import parse_atrs
@@ -113,14 +115,8 @@ def compile_tm(tm: TMachine, expr) -> CompiledSystem:
         lines.append(f"cons {name} : state ;")
     lines += inst.decls
     vec2 = types + types
-
-    def fun(name: str, args, res) -> str:
-        lines.append(f"fun {name} : {_ty(list(args), res)} ;")
-        return name
-
-    def rule(lhs: str, rhs: str) -> None:
-        lines.append(f"rule {lhs} -> {rhs} ;")
-
+    fun = partial(emit_fun, lines)
+    rule = partial(emit_rule, lines)
     ifelse_state = fun("ifelse_state", [BOOL, STATE, STATE], STATE)
     ifelse_symb = fun("ifelse_symb", [BOOL, SYMB, SYMB], SYMB)
     ifelse_trans = fun("ifelse_trans", [BOOL, TRANS, TRANS], TRANS)

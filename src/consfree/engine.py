@@ -146,12 +146,6 @@ class Engine:
         return result
 
 
-def one_step_reducts(t: Term, atrs: Atrs, strategy: str = FREE) -> Set[Term]:
-    """The set of one-step reducts of t under the strategy."""
-    engine = Engine(atrs)
-    return {reduct for reduct, _, _ in engine.step_options(t, strategy)}
-
-
 def search_data_normal_forms(
     t: Term, atrs: Atrs, strategy: str = FREE, budget: Optional[Budget] = None
 ) -> SearchResult:

@@ -137,6 +137,17 @@ def _ty(parts: List[SimpleType], res: SimpleType) -> str:
     return " => ".join(pieces)
 
 
+def emit_fun(out: List[str], name: str, args: List[SimpleType], res: SimpleType) -> str:
+    """Append the declaration of name to out; returns the name."""
+    out.append(f"fun {name} : {_ty(args, res)} ;")
+    return name
+
+
+def emit_rule(out: List[str], lhs: str, rhs: str) -> None:
+    """Append the rule lhs -> rhs to out."""
+    out.append(f"rule {lhs} -> {rhs} ;")
+
+
 @dataclass
 class ModuleInstance:
     """Generated rules and symbol names of one counting module."""
@@ -177,11 +188,10 @@ class ModuleInstance:
         return f"{name}_{self.path}"
 
     def fun(self, name: str, args: List[SimpleType], res: SimpleType) -> str:
-        self.decls.append(f"fun {name} : {_ty(args, res)} ;")
-        return name
+        return emit_fun(self.decls, name, args, res)
 
     def rule(self, lhs: str, rhs: str) -> None:
-        self.rules.append(f"rule {lhs} -> {rhs} ;")
+        emit_rule(self.rules, lhs, rhs)
 
     def seed_calls(self, cs: str = "cs") -> List[str]:
         return [f"({self.seed(i)} {cs})" for i in range(1, self.width + 1)]
@@ -699,8 +709,8 @@ def module_selftest(expr, n: int, space_budget: int = 2 ** 20) -> SelfTestReport
     def call(name: str, *args: Term) -> Term:
         return sym_term(atrs.symbols[name], *args)
 
-    def eta_for(reprs) -> Tuple:
-        return tuple(sorted((x.name, r) for x, r in zip(xs, reprs)))
+    def eta_for(reprs) -> Dict:
+        return {x.name: r for x, r in zip(xs, reprs)}
 
     def eval_with(terms: List[Term], reprs) -> List:
         eta = eta_for(reprs)
@@ -721,7 +731,7 @@ def module_selftest(expr, n: int, space_budget: int = 2 ** 20) -> SelfTestReport
 
     checks: Dict[str, bool] = {}
     seed_terms = [call(inst.seed(i), cs) for i in range(1, a + 1)]
-    current = solver.evaluate([(t, ()) for t in seed_terms])
+    current = solver.evaluate([(t, {}) for t in seed_terms])
     pred_terms = [call(inst.pred(i), cs, *xterms) for i in range(1, a + 1)]
     zero_term = call(inst.zero, cs, *xterms)
     bound = inst.bound(n)
@@ -741,7 +751,7 @@ def module_selftest(expr, n: int, space_budget: int = 2 ** 20) -> SelfTestReport
     checks["pred at zero stays zero"] = bool_of(
         eval_with([zero_term], at_zero)[0], "zero after pred at zero"
     )
-    seed_reprs = solver.evaluate([(t, ()) for t in seed_terms])
+    seed_reprs = solver.evaluate([(t, {}) for t in seed_terms])
     succ_at_max = call(
         inst.equal,
         cs,

@@ -37,13 +37,11 @@ from .terms import (
     FuncSym,
     PairHead,
     Product,
-    Rule,
     SimpleType,
     Sort,
     Term,
     Variable,
     _match_into,
-    apply_subst,
     apply_term,
     arg_types,
     flatten_product,
@@ -246,12 +244,12 @@ class Stmt:
 
 class _Group:
     """The statements `fname args ~> t` for every target t. `confirmed_at`
-    runs parallel to `targets`; `plans` are the rule instances, built on
-    first evaluation. `deps` are the groups its last evaluation read,
-    `dependents` the groups whose evaluations read it, and `wake` the step of
-    its next evaluation, if one is due. A group with targets is `new` from
-    its demand until it joins a layer; its values past step 0 are unknown
-    until then."""
+    runs parallel to `targets` and is the only record of confirmations;
+    `plans` are the rule instances, built on first evaluation. `deps` are
+    the groups its last evaluation read, `dependents` the groups whose
+    evaluations read it, and `wake` the step of its next evaluation, if one
+    is due. A group with targets is `new` from its demand until it joins a
+    layer; its values past step 0 are unknown until then."""
 
     __slots__ = (
         "fname", "args", "targets", "confirmed_at", "plans", "deps",
@@ -313,20 +311,44 @@ class Solver:
         self.space_budget = space_budget
         self.spaces: Dict[SimpleType, object] = {}
         self.symbols = self.atrs.symbols
-        self.rules_by_head: Dict[str, List[Rule]] = {}
+        # per head: each rule's right-hand side padded to full arity, and per
+        # argument the name of a top-level variable or pad, or the pattern
+        self.rules_by_head: Dict[str, List[Tuple[Term, Tuple]]] = {}
         for rule in self.atrs.rules:
             head = rule.lhs.head
             if isinstance(head, FuncSym):
-                self.rules_by_head.setdefault(head.name, []).append(rule)
-        self.confirmed_at: Dict[Stmt, int] = {}
+                types = arg_types(head.type)
+                pads = tuple(
+                    sym_term(Variable(f"#pad{j}", types[j]))
+                    for j in range(rule.arity, head.arity)
+                )
+                patterns = tuple(
+                    p.head.name if isinstance(p.head, Variable) else p
+                    for p in rule.lhs.args + pads
+                )
+                rhs = apply_term(rule.rhs, *pads)
+                self.rules_by_head.setdefault(head.name, []).append((rhs, patterns))
         self.groups: Dict[Tuple, _Group] = {}
         self.targets_cache: Dict[SimpleType, List] = {}
         self.step = 0
-        # _demanded: statements over all groups; _due[k]: groups to evaluate
-        # at step k; _new: groups demanded but not yet joined
+        # _demanded: statements over all groups; _confirmed: statements
+        # confirmed; _due[k]: groups to evaluate at step k; _new: groups
+        # demanded but not yet joined
         self._demanded = 0
+        self._confirmed = 0
         self._due: Dict[int, List[_Group]] = {}
         self._new: List[_Group] = []
+
+    @property
+    def confirmed_at(self) -> Dict[Stmt, int]:
+        """Every confirmed statement and the step that first confirmed it,
+        built from the groups on each access."""
+        return {
+            Stmt(group.fname, group.args, target): at
+            for group in self.groups.values()
+            for target, at in zip(group.targets, group.confirmed_at)
+            if at is not None
+        }
 
     # -- spaces and targets ---------------------------------------------
 
@@ -374,28 +396,24 @@ class Solver:
 
     # -- evaluation -----------------------------------------------------
 
-    def nf(self, i: int, t: Term, eta: Tuple, deps: set) -> Repr:
-        """The representation of t at step i under environment eta; adds the
-        groups it reads to deps. Raises _Blocked if it must read a group
-        whose values at step i are not known yet."""
+    def nf(self, i: int, t: Term, eta: Dict[str, Repr], deps: set) -> Repr:
+        """The representation of t at step i under eta, a dict from variable
+        names to representations; adds the groups it reads to deps. Raises
+        _Blocked if it must read a group whose values at step i are not known
+        yet. A constructor term with variables is rebuilt by _instantiate: in
+        a rule instance they are pattern variables, bound to singletons."""
         head = t.head
         if isinstance(head, FuncSym):
             if head.is_constructor:
                 if is_data(t):
                     return self._data_value(t)
-                raise NonBSafeTerm(
-                    f"constructor term {print_term(t)} is not data"
-                )
+                return self._data_value(self._instantiate(t, eta))
             arg_values = [self.nf(i, arg, eta, deps) for arg in t.args]
             if isinstance(t.type, Arrow):
                 return self._tabulate(i, head, arg_values, deps)
             return self._saturated(i, head, tuple(arg_values), deps)
         if isinstance(head, Variable):
-            value = None
-            for name, bound in eta:
-                if name == head.name:
-                    value = bound
-                    break
+            value = eta.get(head.name)
             if value is None:
                 raise UnboundVariable(f"variable {head.name} is not bound")
             for arg in t.args:
@@ -410,6 +428,19 @@ class Solver:
             for l in _as_tuples(left, t.args[0].type)
             for r in _as_tuples(right, t.args[1].type)
         )
+
+    def _instantiate(self, t: Term, eta: Dict[str, Repr]) -> Term:
+        """The data term that t, a constructor or pair term over variables
+        bound to singletons, denotes under eta."""
+        if isinstance(t.head, Variable):
+            value = eta.get(t.head.name)
+            if not isinstance(value, frozenset) or len(value) != 1:
+                raise NonBSafeTerm(f"{print_term(t)} does not denote one data term")
+            return _member_term(next(iter(value)), t.type)
+        args = tuple(self._instantiate(arg, eta) for arg in t.args)
+        if isinstance(t.head, PairHead):
+            return pair(*args)
+        return Term(t.head, args, t.type)
 
     def _saturated(
         self, i: int, head: FuncSym, args: Tuple[Repr, ...], deps: set
@@ -449,57 +480,30 @@ class Solver:
     # -- statements -----------------------------------------------------
 
     def plans(self, fname: str, args: Tuple[Repr, ...]) -> List:
-        """Instantiated right-hand sides and environments for `fname args`."""
-        sym = self.symbols[fname]
-        types = arg_types(sym.type)
-        m = sym.arity
+        """The rule instances for `fname args`: a rule's padded right-hand
+        side, shared by its instances, with an environment. Top-level
+        variables and pads are bound to their arguments' representations;
+        one instance per choice of a member matching each constructor or pair
+        pattern binds that pattern's variables to singleton data values."""
+        types = arg_types(self.symbols[fname].type)
         plans = []
-        for rule in self.rules_by_head.get(fname, ()):
-            k = rule.arity
-            pads = [
-                sym_term(Variable(f"#pad{j}", types[j])) for j in range(k, m)
-            ]
-            rhs = apply_term(rule.rhs, *pads)
-            eta_base = []
-            fixed: List[Tuple[int, Term]] = []
-            for j, pattern in enumerate(rule.lhs.args):
-                if isinstance(pattern.head, Variable) and not pattern.args:
-                    eta_base.append((pattern.head.name, args[j]))
-                else:
-                    fixed.append((j, pattern))
-            for j in range(k, m):
-                eta_base.append((f"#pad{j}", args[j]))
-            eta = tuple(sorted(eta_base))
-            for subst in self._match_choices(fixed, args, types):
-                plans.append((apply_subst(rhs, subst), eta))
+        for rhs, patterns in self.rules_by_head.get(fname, ()):
+            envs: List[Dict[str, Repr]] = [{}]
+            for j, pattern in enumerate(patterns):
+                if isinstance(pattern, str):
+                    for eta in envs:
+                        eta[pattern] = args[j]
+                    continue
+                matches = []
+                for member in args[j]:
+                    subst: Dict[Variable, Term] = {}
+                    if _match_into(pattern, _member_term(member, types[j]), subst):
+                        matches.append(
+                            {v.name: self._data_value(d) for v, d in subst.items()}
+                        )
+                envs = [{**eta, **match} for eta in envs for match in matches]
+            plans += [(rhs, eta) for eta in envs]
         return plans
-
-    def _match_choices(
-        self,
-        fixed: List[Tuple[int, Term]],
-        args: Tuple[Repr, ...],
-        types: List[SimpleType],
-    ):
-        """All ways to match the non-variable patterns against members of the
-        corresponding argument sets."""
-        if not fixed:
-            yield {}
-            return
-        choices = []
-        for j, pattern in fixed:
-            members = sorted(args[j], key=_member_key)
-            matched = []
-            for member in members:
-                candidate = _member_term(member, types[j])
-                subst: Dict[Variable, Term] = {}
-                if _match_into(pattern, candidate, subst):
-                    matched.append(subst)
-            choices.append(matched)
-        for combo in itertools.product(*choices):
-            merged: Dict[Variable, Term] = {}
-            for subst in combo:
-                merged.update(subst)
-            yield merged
 
     def rule_union(self, j: int, group: _Group):
         """Everything any rule instance for the group's call can produce at
@@ -525,11 +529,12 @@ class Solver:
 
     def conf(self, i: int, stmt: Stmt) -> bool:
         """Whether the statement is confirmed at step i."""
-        if self._group(stmt.fname, stmt.args).new:
+        group = self._group(stmt.fname, stmt.args)
+        if group.new:
             self._backfill(self.step)
         while i > self.step and self._due:
             self._layer([])
-        at = self.confirmed_at.get(stmt)
+        at = dict(zip(group.targets, group.confirmed_at)).get(stmt.target)
         return at is not None and at <= i
 
     def _schedule(self, group: _Group, step: int) -> None:
@@ -552,7 +557,7 @@ class Solver:
         for index, target in enumerate(group.targets):
             if group.confirmed_at[index] is None and target in union:
                 group.confirmed_at[index] = step
-                self.confirmed_at[Stmt(group.fname, group.args, target)] = step
+                self._confirmed += 1
                 confirmed = True
         if wake is not None and None in group.confirmed_at:
             self._schedule(group, wake + 1)
@@ -613,7 +618,7 @@ class Solver:
         self._join()
         self._run(1, last)
 
-    def _layer(self, queries: List[Tuple[Term, Tuple]]) -> List[Repr]:
+    def _layer(self, queries: List[Tuple[Term, Dict[str, Repr]]]) -> List[Repr]:
         """Run layer L = step + 1, and evaluate the queries at L. Only the
         groups due at L are evaluated: those that read a statement confirmed
         at L-1. Groups demanded on the way are backfilled from step 1."""
@@ -630,15 +635,15 @@ class Solver:
                 self._backfill(blocked.step)
         return values
 
-    def _fixpoint(self, queries: List[Tuple[Term, Tuple]]) -> List[Repr]:
+    def _fixpoint(self, queries: List[Tuple[Term, Dict[str, Repr]]]) -> List[Repr]:
         """Run layers until one confirms and demands nothing new and the
         queries' values repeat; returns those values."""
         previous: Optional[List[Repr]] = None
         rounds = 0
         while True:
-            before = (len(self.confirmed_at), self._demanded)
+            before = (self._confirmed, self._demanded)
             values = self._layer(queries)
-            stable = (len(self.confirmed_at), self._demanded) == before
+            stable = (self._confirmed, self._demanded) == before
             if stable and (not queries or values == previous):
                 return values
             previous = values
@@ -654,7 +659,7 @@ class Solver:
         self._fixpoint([])
         return self.step
 
-    def evaluate(self, queries: List[Tuple[Term, Tuple]]) -> List[Repr]:
+    def evaluate(self, queries: List[Tuple[Term, Dict[str, Repr]]]) -> List[Repr]:
         """Evaluate terms under environments at the stable table, extending the
         demanded fragment as needed."""
         return self._fixpoint(queries)
@@ -703,20 +708,9 @@ def _as_tuples(value: FrozenSet, ty: SimpleType) -> List[Tuple[Term, ...]]:
     return [(t,) for t in value]
 
 
-def _member_key(member) -> str:
-    if isinstance(member, tuple):
-        return " ".join(print_term(t) for t in member)
-    return print_term(member)
-
-
 def _member_term(member, ty: SimpleType):
     """Rebuild a (possibly flattened tuple) member as a term of type ty."""
-    if not isinstance(ty, Product):
-        return member
-    left_width = len(flatten_product(ty.left))
-    left = _rebuild(member[:left_width], ty.left)
-    right = _rebuild(member[left_width:], ty.right)
-    return pair(left, right)
+    return _rebuild(member, ty) if isinstance(ty, Product) else member
 
 
 def _rebuild(parts: Tuple, ty: SimpleType) -> Term:

@@ -120,10 +120,32 @@ def test_usage_errors_are_exit_3(capsys):
     assert run_cli(["frobnicate"], capsys)[0] == 3
 
 
+@pytest.mark.parametrize("command", ["check", "compile-tm"])
+def test_unusable_paths_are_exit_3_without_a_traceback(command, tmp_path, capsys):
+    # a directory where a file is read or written
+    if command == "check":
+        argv = ["check", str(tmp_path)]
+    else:
+        argv = ["compile-tm", CONTAINS1_TM, "--module", "lin", "-o", str(tmp_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_selftest_module(capsys):
     code, out, _ = run_cli(["selftest-module", "--module", "e", "--n", "2"], capsys)
     assert code == 0
     assert out.strip() == "count=8 OK"
+    code, out, _ = run_cli(
+        ["selftest-module", "--module", "e", "--n", "2", "--json"], capsys
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["bound"] == 8
+    assert report["checks"] and all(report["checks"].values())
 
 
 def test_compile_tm_writes_a_parseable_system(tmp_path, capsys):

@@ -11,7 +11,6 @@ from consfree.engine import (
     NonReplayableTrace,
     accepts,
     decide,
-    one_step_reducts,
     replay_trace,
     search_data_normal_forms,
     validate_semi_outermost,
@@ -28,19 +27,23 @@ EITHER = parse_atrs(
 )
 
 
+def reducts(engine, t, strategy="free"):
+    return {u for u, _, _ in engine.step_options(t, strategy)}
+
+
 def test_one_step_reducts_of_succ(succ_system):
     t = term("succ (1 ; 0 ; 1 ; [])", succ_system)
-    reducts = one_step_reducts(t, succ_system)
-    assert {print_term(u) for u in reducts} == {"0 ; succ (0 ; 1 ; [])"}
+    found = reducts(Engine(succ_system), t)
+    assert {print_term(u) for u in found} == {"0 ; succ (0 ; 1 ; [])"}
 
 
 def test_one_step_reducts_of_either():
     t = term("either o (s o)", EITHER)
-    assert {print_term(u) for u in one_step_reducts(t, EITHER)} == {"o", "s o"}
+    assert {print_term(u) for u in reducts(Engine(EITHER), t)} == {"o", "s o"}
 
 
 def test_data_terms_have_no_reducts(majority):
-    assert one_step_reducts(term("1 ; 0 ; []", majority), majority) == set()
+    assert reducts(Engine(majority), term("1 ; 0 ; []", majority)) == set()
 
 
 def walk_terms(atrs, start, depth):
@@ -59,21 +62,22 @@ def walk_terms(atrs, start, depth):
 @given(st.sampled_from(["majority (1 ; 0 ; [])", "majority (0 ; 1 ; 1 ; [])", "cmp (0 ; []) (1 ; [])"]))
 def test_strategy_reduct_sets_are_subsets_of_free(text):
     majority = load("majority.atrs")
+    engine = Engine(majority)
     for t in walk_terms(majority, term(text, majority), 4):
-        free = one_step_reducts(t, majority, "free")
-        assert one_step_reducts(t, majority, "innermost") <= free
-        assert one_step_reducts(t, majority, "outermost") <= free
+        free = reducts(engine, t, "free")
+        assert reducts(engine, t, "innermost") <= free
+        assert reducts(engine, t, "outermost") <= free
 
 
 def test_innermost_rewrites_arguments_first():
     t = term("either (either o (s o)) o", EITHER)
-    inner = one_step_reducts(t, EITHER, "innermost")
+    inner = reducts(Engine(EITHER), t, "innermost")
     assert {print_term(u) for u in inner} == {"either o o", "either (s o) o"}
 
 
 def test_outermost_rewrites_the_head_first():
     t = term("either (either o (s o)) o", EITHER)
-    outer = one_step_reducts(t, EITHER, "outermost")
+    outer = reducts(Engine(EITHER), t, "outermost")
     assert {print_term(u) for u in outer} == {"either o (s o)", "o"}
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from consfree.compiler import compile_tm
 from consfree.engine import Budget, search_data_normal_forms
-from consfree.modules import parse_module_expr
+from consfree.modules import module_selftest, parse_module_expr
 from consfree.solver import (
     NotConsFree,
     ReprSpaceTooLarge,
@@ -141,6 +141,16 @@ def test_fixpoint_counts_are_exact_on_a_compiled_machine(monkeypatch):
     assert [print_term(t) for t in result.normal_forms] == ["true"]
     assert counts(result) == (53, 6474, 1244)
     assert len(evaluations) == 3904
+    assert max(evaluations.values()) == 1
+
+
+def test_evaluation_counts_are_exact_where_rules_rebuild_matched_terms(monkeypatch):
+    # expab's right-hand sides rebuild matched list and pair terms, such as
+    # `c ; zs` from the pattern `(c ; zs)`
+    evaluations = count_evaluations(monkeypatch)
+    report = module_selftest("expab(1,1)", 2)
+    assert report.decrements == 7
+    assert len(evaluations) == 1122
     assert max(evaluations.values()) == 1
 
 
