@@ -245,15 +245,17 @@ class Stmt:
 class _Group:
     """The statements `fname args ~> t` for every target t. `confirmed_at`
     runs parallel to `targets` and is the only record of confirmations;
-    `plans` are the rule instances, built on first evaluation. `deps` are
+    `value` is the set of confirmed targets and `last` the latest step that
+    confirmed one, so `value` is the group's value at every step from `last`
+    on. `plans` are the rule instances, built on first evaluation. `deps` are
     the groups its last evaluation read, `dependents` the groups whose
     evaluations read it, and `wake` the step of its next evaluation, if one
     is due. A group with targets is `new` from its demand until it joins a
     layer; its values past step 0 are unknown until then."""
 
     __slots__ = (
-        "fname", "args", "targets", "confirmed_at", "plans", "deps",
-        "dependents", "wake", "new",
+        "fname", "args", "targets", "confirmed_at", "value", "last", "plans",
+        "deps", "dependents", "wake", "new",
     )
 
     def __init__(self, fname: str, args: Tuple[Repr, ...], targets: List) -> None:
@@ -261,6 +263,8 @@ class _Group:
         self.args = args
         self.targets = targets
         self.confirmed_at: List[Optional[int]] = [None] * len(targets)
+        self.value: FrozenSet = frozenset()
+        self.last = 0
         self.plans: Optional[List] = None
         self.deps: FrozenSet["_Group"] = frozenset()
         self.dependents: Dict["_Group", None] = {}
@@ -451,6 +455,8 @@ class Solver:
         deps.add(group)
         if group.new and i > 0:
             raise _Blocked(i)
+        if i >= group.last:
+            return group.value
         return frozenset(
             target
             for target, at in zip(group.targets, group.confirmed_at)
@@ -559,6 +565,13 @@ class Solver:
                 group.confirmed_at[index] = step
                 self._confirmed += 1
                 confirmed = True
+        if confirmed:
+            group.value = frozenset(
+                target
+                for target, at in zip(group.targets, group.confirmed_at)
+                if at is not None
+            )
+            group.last = max(group.last, step)
         if wake is not None and None in group.confirmed_at:
             self._schedule(group, wake + 1)
         if not confirmed:

@@ -1,7 +1,14 @@
-"""Simple types, signatures, and applicative terms in spine form."""
+"""Simple types, signatures, and applicative terms in spine form.
+
+Terms are hash-consed: building a term equal to one that is alive returns
+that object, so equal terms are one object, `==` and `hash` are identity,
+and the derived fields (size, whether the term is data, its printed text)
+are computed once per node from its children, without recursion.
+"""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -120,6 +127,10 @@ class FuncSym:
     type: SimpleType
     kind: str  # CONSTRUCTOR or DEFINED
 
+    def __hash__(self) -> int:
+        # the name alone: hashing the type would walk it on every lookup
+        return hash(self.name)
+
     @property
     def arity(self) -> int:
         return len(arg_types(self.type))
@@ -138,6 +149,9 @@ class Variable:
 
     name: str
     type: SimpleType
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -158,30 +172,78 @@ PAIR = PairHead()
 Head = Union[FuncSym, Variable, PairHead]
 
 
-@dataclass(frozen=True)
+class _Entry(weakref.ref):
+    """A weak reference to an interned term that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+# (head, args) -> the entry of the live term with that head and those
+# arguments; the type follows from the two, so it is not part of the key
+_TABLE: Dict[Tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry) -> None:
+    if _TABLE.get(entry.key) is entry:
+        del _TABLE[entry.key]
+
+
 class Term:
-    """An applicative term in spine form: head applied to argument terms."""
+    """An applicative term in spine form: head applied to argument terms.
+
+    `Term(head, args, type)` returns the live term with that head and those
+    arguments if there is one, so equal terms are one object: equality and
+    hashing are identity. `size` and `is_data` are set from the children
+    when the node is built; the printed text is filled in by `print_term`
+    on first use. Terms must not be mutated.
+    """
+
+    __slots__ = ("head", "args", "type", "size", "is_data", "_text", "__weakref__")
 
     head: Head
     args: Tuple["Term", ...]
     type: SimpleType
+    size: int
+    is_data: bool
+
+    def __new__(cls, head: Head, args: Tuple["Term", ...], type: SimpleType) -> "Term":
+        key = (head, args)
+        entry = _TABLE.get(key)
+        if entry is not None:
+            found = entry()
+            if found is not None:
+                return found
+        t = object.__new__(cls)
+        t.head = head
+        t.args = args
+        t.type = type
+        # data terms are ground patterns: constructors of base or product
+        # type, and pairs, over data
+        data = isinstance(head, PairHead) or (
+            isinstance(head, FuncSym)
+            and head.kind == CONSTRUCTOR
+            and isinstance(type, (Sort, Product))
+        )
+        size = 1
+        for arg in args:
+            size += arg.size
+            data = data and arg.is_data
+        t.size = size
+        t.is_data = data
+        t._text = None
+        entry = _TABLE[key] = _Entry(t, _forget)
+        entry.key = key
+        return t
+
+    def __reduce__(self):
+        # copies and unpickled terms are interned like any other
+        return Term, (self.head, self.args, self.type)
 
     def __str__(self) -> str:
         return print_term(self)
 
     def __repr__(self) -> str:
         return f"Term({print_term(self)!r})"
-
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.head, self.args, self.type))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    @property
-    def size(self) -> int:
-        return 1 + sum(arg.size for arg in self.args)
 
 
 def _apply_type(head_type: SimpleType, args: Tuple[Term, ...], head: Head) -> SimpleType:
@@ -223,20 +285,19 @@ def subterms(t: Term) -> set:
     The head of an application does not count as a subterm, only its
     arguments do; both components of a pair do.
     """
-    out = {t}
-    for arg in t.args:
-        out |= subterms(arg)
+    out = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u not in out:
+            out.add(u)
+            stack.extend(u.args)
     return out
 
 
 def variables(t: Term) -> set:
     """All variables occurring in t."""
-    out = set()
-    if isinstance(t.head, Variable):
-        out.add(t.head)
-    for arg in t.args:
-        out |= variables(arg)
-    return out
+    return {u.head for u in subterms(t) if isinstance(u.head, Variable)}
 
 
 def is_pattern(t: Term) -> bool:
@@ -255,14 +316,7 @@ def is_pattern(t: Term) -> bool:
 
 def is_data(t: Term) -> bool:
     """Data terms are ground patterns."""
-    if isinstance(t.head, PairHead):
-        return all(is_data(arg) for arg in t.args)
-    return (
-        isinstance(t.head, FuncSym)
-        and t.head.is_constructor
-        and isinstance(t.type, (Sort, Product))
-        and all(is_data(arg) for arg in t.args)
-    )
+    return t.is_data
 
 
 def is_basic(t: Term) -> bool:
@@ -327,37 +381,50 @@ def apply_subst(t: Term, subst: Dict[Variable, Term]) -> Term:
     return Term(head, args, t.type)
 
 
-def _is_cons_cell(t: Term) -> bool:
-    return (
-        isinstance(t.head, FuncSym)
-        and t.head.name == CONS_NAME
-        and t.head.is_constructor
-        and len(t.args) == 2
-    )
-
-
 CONS_NAME = "cons"
 NIL_NAME = "[]"
 
 
 def print_term(t: Term) -> str:
     """Render t in concrete syntax, using the `h ; t` list sugar."""
-    return _print(t, atom=False)
+    text = t._text
+    if text is not None:
+        return text
+    # fill the text of every unprinted node below t, children first
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u._text is not None:
+            stack.pop()
+            continue
+        pending = [arg for arg in u.args if arg._text is None]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        u._text = _render(u)
+    return t._text
 
 
-def _print(t: Term, atom: bool) -> str:
-    head = t.head
+def _atom(t: Term) -> str:
+    """The printed text of an argument: applications are parenthesised."""
+    if t.args and not isinstance(t.head, PairHead):
+        return f"({t._text})"
+    return t._text
+
+
+def _render(t: Term) -> str:
+    """The text of t from its children's texts."""
+    head, args = t.head, t.args
     if isinstance(head, PairHead):
-        return f"({_print(t.args[0], False)}, {_print(t.args[1], False)})"
-    if _is_cons_cell(t):
-        text = f"{_print(t.args[0], True)} ; {_print(t.args[1], False)}"
-        return f"({text})" if atom else text
+        return f"({args[0]._text}, {args[1]._text})"
     if isinstance(head, FuncSym) and head.name == CONS_NAME and head.is_constructor:
-        raise PrintError("a partially applied list constructor has no rendering")
-    if not t.args:
+        if len(args) != 2:
+            raise PrintError("a partially applied list constructor has no rendering")
+        return f"{_atom(args[0])} ; {args[1]._text}"
+    if not args:
         return head.name
-    text = " ".join([head.name] + [_print(arg, True) for arg in t.args])
-    return f"({text})" if atom else text
+    return " ".join([head.name] + [_atom(arg) for arg in args])
 
 
 @dataclass

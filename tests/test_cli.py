@@ -66,16 +66,36 @@ def test_run_exhaustion_is_exit_2(capsys):
     assert "exhausted=true" in out
 
 
-@pytest.mark.parametrize("command,flag", [("run", "--term"), ("solve", "--basic")])
-def test_over_deep_input_is_exit_2_without_a_traceback(command, flag):
-    deep = "majority (" + " ; ".join(["1"] * 600) + " ; [])"
-    done = subprocess.run(
+def run_majority_subprocess(command, flag, length):
+    """Run a command on `majority` over a list of `length` ones in a fresh
+    interpreter, so that the default recursion limit applies."""
+    deep = "majority (" + " ; ".join(["1"] * length) + " ; [])"
+    return subprocess.run(
         [sys.executable, "-m", "consfree.cli", command, MAJORITY, flag, deep],
         capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("command,flag", [("run", "--term"), ("solve", "--basic")])
+def test_over_deep_input_is_exit_2_without_a_traceback(command, flag):
+    done = run_majority_subprocess(command, flag, 5000)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
+
+
+def test_600_element_input_is_answered_by_run_and_refused_by_solve():
+    done = run_majority_subprocess("run", "--term", 600)
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[0] == "1"
+    assert "Traceback" not in done.stderr
+    # the solver's representation space for lists of 600 elements is far
+    # beyond the default budget, so solve refuses with exit 2
+    done = run_majority_subprocess("solve", "--basic", 600)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: representation space")
     assert done.stderr.count("\n") == 1
 
 

@@ -56,7 +56,7 @@ def test_term_round_trip(majority):
     for text in ["majority (1 ; 0 ; [])", "cmp [] (0 ; [])", "count [] [] []"]:
         t = term(text, majority)
         assert print_term(t) == text
-        assert term(print_term(t), majority) == t
+        assert term(print_term(t), majority) is t
 
 
 def test_type_printing():

@@ -1,7 +1,15 @@
-"""Term core: type orders, subterms, matching, substitution, printing."""
+"""Term core: type orders, subterms, matching, substitution, printing,
+hash-consing."""
+
+import copy
+import gc
+import pickle
+import sys
 
 from hypothesis import given, strategies as st
 
+from consfree.syntax import encode_input
+from consfree import terms
 from consfree.terms import (
     Arrow,
     Product,
@@ -145,3 +153,37 @@ def test_print_uses_list_sugar(majority):
     t = term("majority (1;0;[])", majority)
     assert print_term(t) == "majority (1 ; 0 ; [])"
     assert print_term(t.args[0]) == "1 ; 0 ; []"
+
+
+def test_equal_terms_are_one_object(majority):
+    a, b = nat(1), sym_term(F, nat(0), nat(2))
+    assert sym_term(S, nat(2)) is nat(3)
+    assert pair(a, b) is pair(a, b)
+    assert encode_input("1011", majority) is encode_input("1011", majority)
+    assert hash(a) == object.__hash__(a)
+    assert copy.deepcopy(b) is b
+    assert pickle.loads(pickle.dumps(b)) is b
+
+
+def test_the_intern_table_holds_its_terms_weakly():
+    fresh = FuncSym("fresh", Arrow(NAT, NAT), "cons")
+    t = base = sym_term(O)
+    gc.collect()
+    before = len(terms._TABLE)
+    for _ in range(10_000):
+        t = sym_term(fresh, t)
+    assert len(terms._TABLE) == before + 10_000
+    del t
+    gc.collect()
+    assert len(terms._TABLE) == before
+    assert sym_term(O) is base
+
+
+def test_long_list_without_recursion(majority):
+    assert sys.getrecursionlimit() <= 1000
+    t = encode_input("1" * 5000, majority)
+    assert t.size == 10001
+    assert is_data(t)
+    text = print_term(t)
+    assert len(text) == 20_002
+    assert text == "1 ; " * 5000 + "[]"
