@@ -7,7 +7,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .engine import Budget, search_data_normal_forms
+from .engine import Budget, BudgetTooSmallForRoot, search_data_normal_forms
 from .modules import (
     ModuleError,
     SelfTestFailure,
@@ -210,7 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ReprSpaceTooLarge as exc:
+    except (BudgetTooSmallForRoot, ReprSpaceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError:

@@ -2,7 +2,7 @@
 
 Terms are evaluated over finite representation spaces: a base sort denotes
 subsets of the data universe of that sort, an arrow type denotes tabulated
-functions between spaces, and a product sort denotes subsets of tuples.
+functions between spaces, and a product sort denotes subsets of pair terms.
 Statements `f A1 .. Am ~> t` are confirmed by a step-indexed fixpoint; the
 implementation materializes only the statements the root question demands,
 but computes for each of them exactly the step-indexed values of the full
@@ -17,17 +17,18 @@ once layer L is done, every demanded group's values are known through step L,
 and each open group that read one with a statement first confirmed at L is
 due at L+1. Layer L+1 evaluates only those due groups, found through a
 reverse index from each group to the groups whose last evaluation read it;
-every other group keeps its values without a visit. A group demanded while
-layer L runs is new: its values are unknown, so an evaluation that reads it
-at step j is set aside while the new groups are backfilled, layer by layer,
-from step 1 through j, and is then retried. A group is therefore evaluated at
-step 1 and again right after each step that confirmed a statement of a group
-it read, while it has an unconfirmed statement, and at no other step.
+every other group keeps its values without a visit. All due evaluations sit
+on one worklist, always taken at its lowest step. A group demanded while
+layer L runs is new: its values are unknown, so it joins the worklist at
+step 1, and an evaluation at step k that must read it is re-queued at k; the
+lowest-step order brings the new groups up to date through k-1 before the
+retry. A group is therefore evaluated at step 1 and again right after each
+step that confirmed a statement of a group it read, while it has an
+unconfirmed statement, and at no other step.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -162,16 +163,12 @@ def build_space(ty: SimpleType, B: BSet, budget: int, cache: Dict) -> object:
     if isinstance(ty, Sort):
         space = SetSpace(ty, B.of_type(ty))
     elif isinstance(ty, Product):
-        components = flatten_product(ty)
-        for comp in components:
+        for comp in flatten_product(ty):
             if not isinstance(comp, Sort):
                 raise NotProductConsFree(
                     f"product type {ty} has a functional component"
                 )
-        universe = list(
-            itertools.product(*[B.of_type(comp) for comp in components])
-        )
-        space = SetSpace(ty, universe)
+        space = SetSpace(ty, _members(ty, B))
     else:
         dom = build_space(ty.arg, B, budget, cache)
         cod = build_space(ty.res, B, budget, cache)
@@ -180,6 +177,15 @@ def build_space(ty: SimpleType, B: BSet, budget: int, cache: Dict) -> object:
         raise ReprSpaceTooLarge(ty, space.card, budget)
     cache[ty] = space
     return space
+
+
+def _members(ty: SimpleType, B: BSet) -> List[Term]:
+    """The data terms of a sort or product of sorts: pairs in lexicographic
+    order of their components."""
+    if isinstance(ty, Sort):
+        return B.of_type(ty)
+    right = _members(ty.right, B)
+    return [pair(left, r) for left in _members(ty.left, B) for r in right]
 
 
 def repr_cardinality(ty: SimpleType, sort_sizes: Dict[str, int]) -> int:
@@ -239,45 +245,47 @@ class Stmt:
 
     fname: str
     args: Tuple[Repr, ...]
-    target: object  # a data term, or a tuple of data terms for product sorts
+    target: Term  # a data term; at a product sort, a pair term
 
 
 class _Group:
-    """The statements `fname args ~> t` for every target t. `confirmed_at`
-    runs parallel to `targets` and is the only record of confirmations;
-    `value` is the set of confirmed targets and `last` the latest step that
-    confirmed one, so `value` is the group's value at every step from `last`
-    on. `plans` are the rule instances, built on first evaluation. `deps` are
-    the groups its last evaluation read, `dependents` the groups whose
-    evaluations read it, and `wake` the step of its next evaluation, if one
-    is due. A group with targets is `new` from its demand until it joins a
-    layer; its values past step 0 are unknown until then."""
+    """The statements `fname args ~> t` for each of its `count` targets t.
+    `confirmed` maps each confirmed target to the step that first confirmed
+    it and is the only record of confirmations; `value` is the set of its
+    keys and `last` the latest step among its values, so `value` is the
+    group's value at every step from `last` on. The group is open while
+    fewer than `count` targets are confirmed. `plans` are the rule
+    instances, built on first evaluation. `deps` are the groups its last
+    evaluation read, `dependents` the groups whose evaluations read it, and
+    `wake` the step of its next evaluation, if one is due. A group with
+    targets is `new` from its demand until it joins the worklist; its values
+    past step 0 are unknown until then."""
 
     __slots__ = (
-        "fname", "args", "targets", "confirmed_at", "value", "last", "plans",
+        "fname", "args", "count", "confirmed", "value", "last", "plans",
         "deps", "dependents", "wake", "new",
     )
 
-    def __init__(self, fname: str, args: Tuple[Repr, ...], targets: List) -> None:
+    def __init__(self, fname: str, args: Tuple[Repr, ...], count: int) -> None:
         self.fname = fname
         self.args = args
-        self.targets = targets
-        self.confirmed_at: List[Optional[int]] = [None] * len(targets)
+        self.count = count
+        self.confirmed: Dict[Term, int] = {}
         self.value: FrozenSet = frozenset()
         self.last = 0
         self.plans: Optional[List] = None
         self.deps: FrozenSet["_Group"] = frozenset()
         self.dependents: Dict["_Group", None] = {}
         self.wake: Optional[int] = None
-        self.new = bool(targets)
+        self.new = count > 0
+
+    @property
+    def open(self) -> bool:
+        return len(self.confirmed) < self.count
 
 
 class _Blocked(Exception):
-    """An evaluation must read new groups at `step`."""
-
-    def __init__(self, step: int) -> None:
-        super().__init__(step)
-        self.step = step
+    """An evaluation must read a new group past step 0."""
 
 
 @dataclass
@@ -336,8 +344,8 @@ class Solver:
         self.targets_cache: Dict[SimpleType, List] = {}
         self.step = 0
         # _demanded: statements over all groups; _confirmed: statements
-        # confirmed; _due[k]: groups to evaluate at step k; _new: groups
-        # demanded but not yet joined
+        # confirmed; _due[k]: the worklist's groups to evaluate at step k;
+        # _new: groups demanded but not yet joined
         self._demanded = 0
         self._confirmed = 0
         self._due: Dict[int, List[_Group]] = {}
@@ -350,8 +358,7 @@ class Solver:
         return {
             Stmt(group.fname, group.args, target): at
             for group in self.groups.values()
-            for target, at in zip(group.targets, group.confirmed_at)
-            if at is not None
+            for target, at in group.confirmed.items()
         }
 
     # -- spaces and targets ---------------------------------------------
@@ -384,19 +391,13 @@ class Solver:
     # -- data representations -------------------------------------------
 
     def _data_value(self, t: Term) -> Repr:
-        if isinstance(t.type, Product):
-            flat = _flatten_data(t)
-        else:
-            flat = t
-        self._check_safe(t)
-        return frozenset([flat])
-
-    def _check_safe(self, t: Term) -> None:
+        """The singleton of a data term whose components lie in B."""
         if isinstance(t.head, PairHead):
             for arg in t.args:
-                self._check_safe(arg)
+                self._data_value(arg)
         elif t not in self.B:
             raise NonBSafeTerm(f"data term {print_term(t)} lies outside the universe")
+        return frozenset([t])
 
     # -- evaluation -----------------------------------------------------
 
@@ -427,11 +428,7 @@ class Solver:
             return self._data_value(t)
         left = self.nf(i, t.args[0], eta, deps)
         right = self.nf(i, t.args[1], eta, deps)
-        return frozenset(
-            l + r
-            for l in _as_tuples(left, t.args[0].type)
-            for r in _as_tuples(right, t.args[1].type)
-        )
+        return frozenset(pair(l, r) for l in left for r in right)
 
     def _instantiate(self, t: Term, eta: Dict[str, Repr]) -> Term:
         """The data term that t, a constructor or pair term over variables
@@ -440,7 +437,7 @@ class Solver:
             value = eta.get(t.head.name)
             if not isinstance(value, frozenset) or len(value) != 1:
                 raise NonBSafeTerm(f"{print_term(t)} does not denote one data term")
-            return _member_term(next(iter(value)), t.type)
+            return next(iter(value))
         args = tuple(self._instantiate(arg, eta) for arg in t.args)
         if isinstance(t.head, PairHead):
             return pair(*args)
@@ -454,13 +451,11 @@ class Solver:
             group = self._group(head.name, args)
         deps.add(group)
         if group.new and i > 0:
-            raise _Blocked(i)
+            raise _Blocked()
         if i >= group.last:
             return group.value
         return frozenset(
-            target
-            for target, at in zip(group.targets, group.confirmed_at)
-            if at is not None and at <= i
+            target for target, at in group.confirmed.items() if at <= i
         )
 
     def _tabulate(
@@ -491,7 +486,6 @@ class Solver:
         variables and pads are bound to their arguments' representations;
         one instance per choice of a member matching each constructor or pair
         pattern binds that pattern's variables to singleton data values."""
-        types = arg_types(self.symbols[fname].type)
         plans = []
         for rhs, patterns in self.rules_by_head.get(fname, ()):
             envs: List[Dict[str, Repr]] = [{}]
@@ -503,7 +497,7 @@ class Solver:
                 matches = []
                 for member in args[j]:
                     subst: Dict[Variable, Term] = {}
-                    if _match_into(pattern, _member_term(member, types[j]), subst):
+                    if _match_into(pattern, member, subst):
                         matches.append(
                             {v.name: self._data_value(d) for v, d in subst.items()}
                         )
@@ -526,9 +520,9 @@ class Solver:
         """The group of `fname args ~> t` for every target t, demanding it."""
         group = self.groups.get((fname, args))
         if group is None:
-            targets = self.targets(result_type(self.symbols[fname].type))
-            group = self.groups[(fname, args)] = _Group(fname, args, targets)
-            self._demanded += len(targets)
+            count = len(self.targets(result_type(self.symbols[fname].type)))
+            group = self.groups[(fname, args)] = _Group(fname, args, count)
+            self._demanded += count
             if group.new:
                 self._new.append(group)
         return group
@@ -536,11 +530,10 @@ class Solver:
     def conf(self, i: int, stmt: Stmt) -> bool:
         """Whether the statement is confirmed at step i."""
         group = self._group(stmt.fname, stmt.args)
-        if group.new:
-            self._backfill(self.step)
+        self._run(self.step)
         while i > self.step and self._due:
             self._layer([])
-        at = dict(zip(group.targets, group.confirmed_at)).get(stmt.target)
+        at = group.confirmed.get(stmt.target)
         return at is not None and at <= i
 
     def _schedule(self, group: _Group, step: int) -> None:
@@ -556,29 +549,22 @@ class Solver:
         for dep in deps:
             dep.dependents[group] = None
             # a statement read as unconfirmed, but confirmed since
-            for at in dep.confirmed_at:
-                if at is not None and at >= step and (wake is None or at < wake):
+            for at in dep.confirmed.values():
+                if at >= step and (wake is None or at < wake):
                     wake = at
-        confirmed = False
-        for index, target in enumerate(group.targets):
-            if group.confirmed_at[index] is None and target in union:
-                group.confirmed_at[index] = step
-                self._confirmed += 1
-                confirmed = True
-        if confirmed:
-            group.value = frozenset(
-                target
-                for target, at in zip(group.targets, group.confirmed_at)
-                if at is not None
-            )
+        fresh = union - group.value
+        if fresh:
+            group.confirmed.update(dict.fromkeys(fresh, step))
+            group.value = union | group.value
             group.last = max(group.last, step)
-        if wake is not None and None in group.confirmed_at:
+            self._confirmed += len(fresh)
+        if wake is not None and group.open:
             self._schedule(group, wake + 1)
-        if not confirmed:
+        if not fresh:
             return
         for reader in group.dependents:
             if (
-                None in reader.confirmed_at
+                reader.open
                 and (reader.wake is None or reader.wake > step + 1)
                 and group in reader.deps
             ):
@@ -586,67 +572,46 @@ class Solver:
 
     # -- the fixpoint loop ----------------------------------------------
 
-    def _run(self, first: int, last: int) -> None:
-        """Evaluate the due groups at steps first..last in order. An
-        evaluation that must read new groups is set aside while a nested
-        run backfills them from step 1 to the step it reads, and retried;
-        an explicit stack of runs replaces recursion."""
-        if first > last:
-            return
-        runs = [[first, last, [], 0]]
-        while runs:
-            run = runs[-1]
-            k, last, bucket, index = run
-            if index == len(bucket):
-                bucket = self._due.pop(k, None)
-                if bucket is None:
-                    if k == last:
-                        runs.pop()
-                    else:
-                        run[0] = k + 1
-                    continue
-                run[2] = bucket
-                run[3] = index = 0
-            group = bucket[index]
-            if group.wake == k:
-                try:
-                    self._evaluate(group, k)
-                except _Blocked as blocked:
-                    self._join()
-                    runs.append([1, blocked.step, [], 0])
-                    continue
-                if self._new:  # demanded while reading step 0
-                    self._join()
-            run[3] = index + 1
+    def _run(self, last: int) -> None:
+        """Join the new groups, then evaluate the due groups through step
+        last, always at the lowest due step. An evaluation that must read a
+        new group joins it and is re-queued at its own step, so the lower
+        steps bring the new group up to date before the retry."""
+        self._join()
+        while self._due:
+            k = min(self._due)
+            if k > last:
+                return
+            bucket = self._due[k]
+            group = bucket.pop()
+            if not bucket:
+                del self._due[k]
+            if group.wake != k:
+                continue
+            try:
+                self._evaluate(group, k)
+            except _Blocked:
+                self._schedule(group, k)
+            self._join()
 
     def _join(self) -> None:
-        """Make the new groups members of the layer structure, due at step 1."""
+        """Put the new groups on the worklist, due at step 1."""
         for group in self._new:
             group.new = False
             self._schedule(group, 1)
         self._new = []
 
-    def _backfill(self, last: int) -> None:
-        """Bring the new groups' values up to date through step last."""
-        self._join()
-        self._run(1, last)
-
     def _layer(self, queries: List[Tuple[Term, Dict[str, Repr]]]) -> List[Repr]:
         """Run layer L = step + 1, and evaluate the queries at L. Only the
         groups due at L are evaluated: those that read a statement confirmed
-        at L-1. Groups demanded on the way are backfilled from step 1."""
+        at L-1. Groups demanded on the way join the worklist at step 1."""
         self.step += 1
-        L = self.step
-        if self._new:
-            self._backfill(L - 1)
-        self._run(L, L)
-        values: List[Repr] = []
-        while queries and not values:
+        while True:
+            self._run(self.step)
             try:
-                values = [self.nf(L, t, eta, set()) for t, eta in queries]
-            except _Blocked as blocked:
-                self._backfill(blocked.step)
-        return values
+                return [self.nf(self.step, t, eta, set()) for t, eta in queries]
+            except _Blocked:
+                continue
 
     def _fixpoint(self, queries: List[Tuple[Term, Dict[str, Repr]]]) -> List[Repr]:
         """Run layers until one confirms and demands nothing new and the
@@ -696,10 +661,7 @@ def solve(
     res_ty = result_type(head.type)
     seeds = [Stmt(head.name, args, target) for target in solver.targets(res_ty)]
     steps = solver.advance_to_fixpoint(seeds)
-    found = []
-    for stmt in seeds:
-        if solver.conf(steps, stmt):
-            found.append(_member_term(stmt.target, res_ty))
+    found = [stmt.target for stmt in seeds if solver.conf(steps, stmt)]
     return SolveResult(
         sorted(found, key=print_term),
         steps,
@@ -707,27 +669,3 @@ def solve(
         solver._demanded,
         solver,
     )
-
-
-def _flatten_data(t: Term) -> Tuple[Term, ...]:
-    if isinstance(t.head, PairHead):
-        return _flatten_data(t.args[0]) + _flatten_data(t.args[1])
-    return (t,)
-
-
-def _as_tuples(value: FrozenSet, ty: SimpleType) -> List[Tuple[Term, ...]]:
-    if isinstance(ty, Product):
-        return list(value)
-    return [(t,) for t in value]
-
-
-def _member_term(member, ty: SimpleType):
-    """Rebuild a (possibly flattened tuple) member as a term of type ty."""
-    return _rebuild(member, ty) if isinstance(ty, Product) else member
-
-
-def _rebuild(parts: Tuple, ty: SimpleType) -> Term:
-    if not isinstance(ty, Product):
-        return parts[0]
-    left_width = len(flatten_product(ty.left))
-    return pair(_rebuild(parts[:left_width], ty.left), _rebuild(parts[left_width:], ty.right))

@@ -68,9 +68,6 @@ def _constructor_headed(t: Term) -> bool:
 def check(atrs: Atrs) -> Verdict:
     """Classify atrs: constructor system, left-linear, cons-free, and (with
     pairing) product-cons-free; the verdict carries per-rule violations."""
-    cached = getattr(atrs, "_verdict", None)
-    if cached is not None:
-        return cached
     violations: List[Violation] = []
     constructor_system = True
     left_linear = True
@@ -157,11 +154,9 @@ def check(atrs: Atrs) -> Verdict:
                         )
                     )
     order = max((sym.type.order() for sym in atrs.symbols.values()), default=0)
-    verdict = Verdict(
+    return Verdict(
         constructor_system, left_linear, cons_free, product_cons_free, order, violations
     )
-    atrs._verdict = verdict
-    return verdict
 
 
 def _occurrences(t: Term) -> List[Variable]:

@@ -66,6 +66,16 @@ def test_run_exhaustion_is_exit_2(capsys):
     assert "exhausted=true" in out
 
 
+def test_start_term_over_the_size_budget_is_exit_2(capsys):
+    code, out, err = run_cli(
+        ["run", MAJORITY, "--term", "majority (1;0;[])", "--max-term-size", "3"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: the start term has 6 nodes, budget allows 3\n"
+
+
 def run_majority_subprocess(command, flag, length):
     """Run a command on `majority` over a list of `length` ones in a fresh
     interpreter, so that the default recursion limit applies."""

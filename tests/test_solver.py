@@ -1,6 +1,7 @@
 """Saturation solver: exactness against the engine, fixpoint properties,
 representation spaces, and the cardinality bound."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -23,7 +24,7 @@ from consfree.solver import (
     solve,
 )
 from consfree.syntax import encode_input, parse_atrs, parse_tm
-from consfree.terms import Arrow, Product, Sort, print_term, sym_term
+from consfree.terms import Arrow, PairHead, Product, Sort, pair, print_term, sym_term
 from consfree.tm import simulate_tm
 from consfree.validation import BSet, NotBasic, compute_B, prune_ho_constructors
 
@@ -154,6 +155,74 @@ def test_evaluation_counts_are_exact_where_rules_rebuild_matched_terms(monkeypat
     assert max(evaluations.values()) == 1
 
 
+def flat_member(member):
+    """The printed components of a data member, pairs flattened left to
+    right, whether the member is stored as a pair term or as a tuple."""
+    parts, stack = [], [member]
+    while stack:
+        m = stack.pop()
+        if isinstance(m, tuple) or isinstance(m.head, PairHead):
+            stack.extend(reversed(m if isinstance(m, tuple) else m.args))
+        else:
+            parts.append(print_term(m))
+    return tuple(parts)
+
+
+def canonical(value):
+    if isinstance(value, frozenset):
+        return sorted(flat_member(m) for m in value)
+    return [canonical(entry) for entry in value.table]
+
+
+def solve_majority():
+    majority = load("majority.atrs")
+    solve(majority, term("majority (1 ; 0 ; [])", majority))
+
+
+def solve_parity_e_01():
+    atrs = compile_tm(parse_tm(corpus_text("parity.tm")), parse_module_expr("e")).atrs
+    solve(atrs, sym_term(atrs.symbols["decide"], encode_input("01", atrs)))
+
+
+def selftest_expab_2():
+    module_selftest("expab(1,1)", 2)
+
+
+@pytest.mark.parametrize(
+    "run,pinned",
+    [
+        (solve_majority, (6, 11, "3f26a54cb1f743bc")),
+        (solve_parity_e_01, (1244, 3904, "0df41bef7439ed88")),
+        (selftest_expab_2, (440, 1122, "e471ce2a599611eb")),
+    ],
+    ids=["majority", "parity-e-01", "expab-2"],
+)
+def test_confirmations_and_evaluations_keep_their_digest(run, pinned, monkeypatch):
+    # the exactness gate: which statement is confirmed at which step, and
+    # which group is evaluated at which step, down to every member
+    solvers = []
+    original_init = Solver.__init__
+
+    def recorded(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        solvers.append(self)
+
+    monkeypatch.setattr(Solver, "__init__", recorded)
+    evaluations = count_evaluations(monkeypatch)
+    run()
+    (solver,) = solvers
+    assert max(evaluations.values()) == 1
+    confirmed = sorted(
+        repr((stmt.fname, [canonical(a) for a in stmt.args], flat_member(stmt.target), at))
+        for stmt, at in solver.confirmed_at.items()
+    )
+    evaluated = sorted(
+        repr((j, fname, [canonical(a) for a in args])) for j, fname, args in evaluations
+    )
+    digest = hashlib.sha256("\n".join(confirmed + evaluated).encode()).hexdigest()
+    assert (len(confirmed), len(evaluated), digest[:16]) == pinned
+
+
 def test_solve_leaves_the_recursion_limit_alone():
     # a fresh interpreter, so no earlier test has moved the limit
     script = (
@@ -202,6 +271,48 @@ def test_solve_product_on_a_projection():
     result = solve(atrs, s)
     assert {print_term(t) for t in result.normal_forms} == {"0"}
     assert set(result.normal_forms) == set(oracle.data_normal_forms)
+
+
+NESTED_PRODUCTS = (
+    "pairing ;\nsort symb list ;\ncons 0 : symb ;\ncons 1 : symb ;\n"
+    "cons [] : list ;\ncons cons : symb => list => list ;\n"
+    "fun g : list => symb * (symb * symb) ;\n"
+    "fun f : symb * (symb * symb) => symb ;\nfun start : list => symb ;\n"
+    "rule g (c ; cs) -> (c , (0 , c)) ;\n"
+    "rule f (x , (y , z)) -> y ;\nrule f (x , p) -> x ;\n"
+    "rule start cs -> f (g cs) ;\n"
+)
+
+
+def test_product_universes_are_pair_terms_in_lexicographic_order():
+    atrs = parse_atrs(NESTED_PRODUCTS)
+    symb = Sort("symb")
+    syms = [term("0", atrs), term("1", atrs)]
+    B = BSet(frozenset(syms))
+    right_nested = build_space(Product(symb, Product(symb, symb)), B, 2 ** 20, {})
+    expected = [pair(a, pair(b, c)) for a in syms for b in syms for c in syms]
+    assert len(right_nested.universe) == 8
+    assert all(u is e for u, e in zip(right_nested.universe, expected))
+    left_nested = build_space(Product(Product(symb, symb), symb), B, 2 ** 20, {})
+    expected = [pair(pair(a, b), c) for a in syms for b in syms for c in syms]
+    assert len(left_nested.universe) == 8
+    assert all(u is e for u, e in zip(left_nested.universe, expected))
+
+
+def test_solve_on_nested_products_and_pair_term_targets():
+    atrs = parse_atrs(NESTED_PRODUCTS)
+    s = term("start (1 ; [])", atrs)
+    oracle = search_data_normal_forms(s, atrs)
+    assert not oracle.exhausted
+    result = solve(atrs, s)
+    assert {print_term(t) for t in result.normal_forms} == {"0", "1"}
+    assert set(result.normal_forms) == set(oracle.data_normal_forms)
+    one, zero = term("1", atrs), term("0", atrs)
+    targets = [
+        stmt.target for stmt in result.solver.confirmed_at if stmt.fname == "g"
+    ]
+    assert len(targets) == 1
+    assert targets[0] is pair(one, pair(zero, one))
 
 
 def test_repr_enumeration_is_canonical():
