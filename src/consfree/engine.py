@@ -18,6 +18,7 @@ from .terms import (
     apply_term,
     is_data,
     print_term,
+    sym_term,
 )
 
 
@@ -206,8 +207,6 @@ def search_data_normal_forms(
 
 
 def _decide_interface(atrs: Atrs) -> Tuple[FuncSym, Term, Term]:
-    from .terms import sym_term
-
     decide = atrs.symbols.get("decide")
     true = atrs.symbols.get("true")
     false = atrs.symbols.get("false")
@@ -237,8 +236,6 @@ class DecideResult:
 
 def accepts(atrs: Atrs, x: str, budget: Optional[Budget] = None) -> AcceptResult:
     """Search for the normal form true from decide applied to the input."""
-    from .terms import sym_term
-
     decide_sym, true, _ = _decide_interface(atrs)
     start = sym_term(decide_sym, encode_input(x, atrs))
     search = search_data_normal_forms(start, atrs, FREE, budget)
@@ -248,8 +245,6 @@ def accepts(atrs: Atrs, x: str, budget: Optional[Budget] = None) -> AcceptResult
 
 def decide(atrs: Atrs, x: str, budget: Optional[Budget] = None) -> DecideResult:
     """Decide the input: true if reachable, false only on a complete search."""
-    from .terms import sym_term
-
     decide_sym, true, false = _decide_interface(atrs)
     start = sym_term(decide_sym, encode_input(x, atrs))
     search = search_data_normal_forms(start, atrs, FREE, budget)

@@ -42,35 +42,24 @@ def parse_module_expr(text: str):
 
 def _parse_expr(text: str):
     text = text.lstrip()
-    for name in ("prod", "expab", "exp", "pipi", "lin", "e"):
-        if text.startswith(name):
-            rest = text[len(name) :].lstrip()
-            if name in ("lin", "e"):
-                if rest[:1].isalnum():
-                    break
-                return (name,), rest
-            if not rest.startswith("("):
-                raise ModuleError(f"{name} needs parenthesized arguments")
-            rest = rest[1:]
-            if name == "prod":
-                left, rest = _parse_expr(rest)
+    for kind, (params, _) in KINDS.items():
+        if not text.startswith(kind):
+            continue
+        rest = text[len(kind) :].lstrip()
+        if not params:
+            if rest[:1].isalnum():
+                break
+            return (kind,), rest
+        if not rest.startswith("("):
+            raise ModuleError(f"{kind} needs parenthesized arguments")
+        rest = rest[1:]
+        args = []
+        for parse_param in params:
+            if args:
                 rest = _expect(rest, ",")
-                right, rest = _parse_expr(rest)
-                rest = _expect(rest, ")")
-                return ("prod", left, right), rest
-            if name == "pipi":
-                child, rest = _parse_expr(rest)
-                rest = _expect(rest, ")")
-                return ("pipi", child), rest
-            if name == "exp":
-                child, rest = _parse_expr(rest)
-                rest = _expect(rest, ")")
-                return ("exp", child), rest
-            a, rest = _parse_int(rest)
-            rest = _expect(rest, ",")
-            b, rest = _parse_int(rest)
-            rest = _expect(rest, ")")
-            return ("expab", a, b), rest
+            arg, rest = parse_param(rest)
+            args.append(arg)
+        return (kind, *args), _expect(rest, ")")
     raise ModuleError(f"cannot parse module expression at {text!r}")
 
 
@@ -83,39 +72,24 @@ def _expect(text: str, token: str) -> str:
 
 def _parse_int(text: str):
     text = text.lstrip()
-    digits = ""
-    while text and text[0].isdigit():
-        digits += text[0]
-        text = text[1:]
-    if not digits:
+    rest = text.lstrip("0123456789")
+    if rest == text:
         raise ModuleError(f"expected a number at {text!r}")
-    return int(digits), text
+    return int(text[: len(text) - len(rest)]), rest
 
 
 def canon(expr) -> str:
     """Canonical dotted name of a module expression."""
-    kind = expr[0]
-    if kind in ("lin", "e"):
-        return kind
-    if kind == "prod":
-        return f"prod.{canon(expr[1])}.{canon(expr[2])}"
-    if kind == "exp":
-        return f"exp.{canon(expr[1])}"
-    if kind == "pipi":
-        return f"pipi.{canon(expr[1])}"
-    return f"expab.{expr[1]}.{expr[2]}"
+    return expr_text(expr).replace("(", ".").replace(",", ".").replace(")", "")
 
 
 def expr_text(expr) -> str:
     """Concrete syntax of a module expression."""
-    kind = expr[0]
-    if kind in ("lin", "e"):
+    kind, *args = expr
+    if not args:
         return kind
-    if kind == "prod":
-        return f"prod({expr_text(expr[1])},{expr_text(expr[2])})"
-    if kind in ("exp", "pipi"):
-        return f"{kind}({expr_text(expr[1])})"
-    return f"expab({expr[1]},{expr[2]})"
+    texts = [expr_text(arg) if isinstance(arg, tuple) else str(arg) for arg in args]
+    return f"{kind}({','.join(texts)})"
 
 
 def type_tag(ty: SimpleType) -> str:
@@ -264,22 +238,9 @@ def gen_module(expr, path: Optional[str] = None) -> ModuleInstance:
     """Generate the rules of a counting module expression."""
     if isinstance(expr, str):
         expr = parse_module_expr(expr)
-    kind = expr[0]
-    if path is None:
-        path = canon(expr)
-    if kind == "lin":
-        return _gen_lin(expr, path)
-    if kind == "prod":
-        return _gen_prod(expr, path)
-    if kind == "e":
-        return _gen_e(expr, path)
-    if kind == "exp":
-        return _gen_exp(expr, path)
-    if kind == "pipi":
-        return _gen_pipi(expr, path)
-    if kind == "expab":
-        return _gen_expab(expr, path)
-    raise ModuleError(f"unknown module kind {kind!r}")
+    if expr[0] not in KINDS:
+        raise ModuleError(f"unknown module kind {expr[0]!r}")
+    return KINDS[expr[0]][1](expr, canon(expr) if path is None else path)
 
 
 def _gen_lin(expr, path: str) -> ModuleInstance:
@@ -640,6 +601,19 @@ def _gen_expab(expr, path: str) -> ModuleInstance:
     )
     _add_counting_api(inst)
     return inst
+
+
+# Per kind, the readers of its parameters and its generator. The parser takes
+# the first kind whose name begins the text, so a name that begins another
+# name (exp, e) comes after it.
+KINDS = {
+    "prod": ((_parse_expr, _parse_expr), _gen_prod),
+    "expab": ((_parse_int, _parse_int), _gen_expab),
+    "exp": ((_parse_expr,), _gen_exp),
+    "pipi": ((_parse_expr,), _gen_pipi),
+    "lin": ((), _gen_lin),
+    "e": ((), _gen_e),
+}
 
 
 def signature_preamble(

@@ -318,7 +318,7 @@ class Solver:
             raise NotConsFree(
                 "; ".join(str(v) for v in verdict.violations) or "not cons-free"
             )
-        self.atrs, self.removed_constructors = prune_ho_constructors(atrs)
+        self.atrs = prune_ho_constructors(atrs)[0]
         self.B = B if B is not None else BSet(frozenset())
         self.space_budget = space_budget
         self.spaces: Dict[SimpleType, object] = {}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .terms import (
     CONS_NAME,
@@ -67,6 +67,14 @@ class Token:
     col: int
 
 
+# A term is read into postfix code: a flat list of its identifier Tokens and
+# the markers APP and PAIR, each of which combines the two values before it
+# (function and argument, left and right component). Evaluating the code with
+# a value stack needs no recursion, so a list of any length can be read.
+APP = "APP"
+PAIR = "PAIR"
+
+
 def tokenize(text: str) -> List[Token]:
     """Split text into identifier and punctuation tokens; // starts a comment."""
     tokens: List[Token] = []
@@ -115,34 +123,6 @@ def tokenize(text: str) -> List[Token]:
         raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(Token("eof", "", line, col))
     return tokens
-
-
-@dataclass
-class UAtom:
-    """Untyped identifier occurrence."""
-
-    name: str
-    line: int
-    col: int
-
-
-@dataclass
-class UApp:
-    """Untyped application."""
-
-    fn: "UTerm"
-    arg: "UTerm"
-
-
-@dataclass
-class UPair:
-    """Untyped pair."""
-
-    left: "UTerm"
-    right: "UTerm"
-
-
-UTerm = Union[UAtom, UApp, UPair]
 
 
 class _MetaVar:
@@ -270,34 +250,36 @@ class _Parser:
             return tok.text not in KEYWORDS
         return tok.text == "("
 
-    def parse_uterm(self) -> UTerm:
-        left = self.parse_uapp()
-        tok = self.peek()
-        if tok.text == ";" and self._starts_term(self.peek(1)):
-            self.next()
-            tail = self.parse_uterm()
-            head = UAtom(CONS_NAME, tok.line, tok.col)
-            return UApp(UApp(head, left), tail)
-        return left
+    def parse_code(self, code: list) -> list:
+        """Append the postfix code of a term, lists included, to code; return code."""
+        depth = 0
+        while True:
+            start = len(code)
+            self.parse_atom(code)
+            while self._starts_term(self.peek()):
+                self.parse_atom(code)
+                code.append(APP)
+            if self.peek().text != ";" or not self._starts_term(self.peek(1)):
+                break
+            tok = self.next()
+            code.insert(start, Token("ident", CONS_NAME, tok.line, tok.col))
+            code.append(APP)
+            depth += 1
+        code.extend([APP] * depth)
+        return code
 
-    def parse_uapp(self) -> UTerm:
-        term = self.parse_uatom()
-        while self._starts_term(self.peek()):
-            term = UApp(term, self.parse_uatom())
-        return term
-
-    def parse_uatom(self) -> UTerm:
+    def parse_atom(self, code: list) -> None:
         tok = self.next()
         if tok.text == "(":
-            parts = [self.parse_uterm()]
+            self.parse_code(code)
+            parts = 1
             while self.peek().text == ",":
                 self.next()
-                parts.append(self.parse_uterm())
+                self.parse_code(code)
+                parts += 1
             self.expect(")")
-            term = parts[-1]
-            for part in reversed(parts[:-1]):
-                term = UPair(part, term)
-            return term
+            code.extend([PAIR] * (parts - 1))
+            return
         if tok.kind == "ident":
             if tok.text in KEYWORDS:
                 raise ParseError(
@@ -305,36 +287,43 @@ class _Parser:
                     tok.line,
                     tok.col,
                 )
-            return UAtom(tok.text, tok.line, tok.col)
+            code.append(tok)
+            return
         raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
 
 
-def _uterm_idents(u: UTerm) -> List[UAtom]:
-    if isinstance(u, UAtom):
-        return [u]
-    if isinstance(u, UApp):
-        return _uterm_idents(u.fn) + _uterm_idents(u.arg)
-    return _uterm_idents(u.left) + _uterm_idents(u.right)
+def _check_declared(code: list, symbols: Dict[str, FuncSym], names) -> None:
+    for tok in code:
+        if isinstance(tok, Token) and tok.text not in symbols and tok.text not in names:
+            raise UndeclaredSymbol(f"{tok.line}:{tok.col}: undeclared symbol {tok.text}")
 
 
-def _infer(u: UTerm, symbols: Dict[str, FuncSym], env: Dict[str, object]):
-    if isinstance(u, UAtom):
-        if u.name in env:
-            return env[u.name]
-        sym = symbols.get(u.name)
-        if sym is None:
-            raise UndeclaredSymbol(f"{u.line}:{u.col}: undeclared symbol {u.name}")
-        return sym.type
-    if isinstance(u, UApp):
-        fn_ty = _infer(u.fn, symbols, env)
-        arg_ty = _infer(u.arg, symbols, env)
-        res = _MetaVar()
-        try:
-            _unify(fn_ty, Arrow(arg_ty, res))
-        except TypeMismatch as exc:
-            raise TypeMismatch(f"in application: {exc}") from exc
-        return res
-    return Product(_infer(u.left, symbols, env), _infer(u.right, symbols, env))
+def _run_code(code: list, leaf, app, pair_of):
+    """Evaluate postfix code over a value stack, left to right."""
+    stack = []
+    for item in code:
+        if item is APP or item is PAIR:
+            right = stack.pop()
+            stack[-1] = (app if item is APP else pair_of)(stack[-1], right)
+        else:
+            stack.append(leaf(item))
+    return stack[0]
+
+
+def _app_type(fn_ty, arg_ty) -> _MetaVar:
+    res = _MetaVar()
+    try:
+        _unify(fn_ty, Arrow(arg_ty, res))
+    except TypeMismatch as exc:
+        raise TypeMismatch(f"in application: {exc}") from exc
+    return res
+
+
+def _infer(code: list, symbols: Dict[str, FuncSym], env: Dict[str, object]):
+    def leaf(tok: Token):
+        return env[tok.text] if tok.text in env else symbols[tok.text].type
+
+    return _run_code(code, leaf, _app_type, Product)
 
 
 def _zonk(ty) -> SimpleType:
@@ -348,31 +337,24 @@ def _zonk(ty) -> SimpleType:
     return ty
 
 
-def _build(u: UTerm, symbols: Dict[str, FuncSym], env: Dict[str, object]) -> Term:
-    if isinstance(u, UAtom):
-        if u.name in env:
-            try:
-                return sym_term(Variable(u.name, _zonk(env[u.name])))
-            except AmbiguousVariableType:
-                raise AmbiguousVariableType(
-                    f"{u.line}:{u.col}: the type of variable {u.name} "
-                    "is not determined by its occurrences"
-                )
-        return sym_term(symbols[u.name])
-    if isinstance(u, UApp):
-        return apply_term(_build(u.fn, symbols, env), _build(u.arg, symbols, env))
-    return pair(_build(u.left, symbols, env), _build(u.right, symbols, env))
+def _build(code: list, symbols: Dict[str, FuncSym], env: Dict[str, object]) -> Term:
+    def leaf(tok: Token) -> Term:
+        if tok.text not in env:
+            return sym_term(symbols[tok.text])
+        try:
+            return sym_term(Variable(tok.text, _zonk(env[tok.text])))
+        except AmbiguousVariableType:
+            raise AmbiguousVariableType(
+                f"{tok.line}:{tok.col}: the type of variable {tok.text} "
+                "is not determined by its occurrences"
+            )
+
+    return _run_code(code, leaf, apply_term, pair)
 
 
-def _check_pairing(u: UTerm, pairing: bool) -> None:
-    if isinstance(u, UPair):
-        if not pairing:
-            raise PairingRequired("pair syntax requires the pairing directive")
-        _check_pairing(u.left, pairing)
-        _check_pairing(u.right, pairing)
-    elif isinstance(u, UApp):
-        _check_pairing(u.fn, pairing)
-        _check_pairing(u.arg, pairing)
+def _check_pairing(code: list, pairing: bool) -> None:
+    if not pairing and PAIR in code:
+        raise PairingRequired("pair syntax requires the pairing directive")
 
 
 def parse_atrs(text: str) -> Atrs:
@@ -382,7 +364,7 @@ def parse_atrs(text: str) -> Atrs:
     sort_order: List[str] = []
     symbols: Dict[str, FuncSym] = {}
     var_decls: Dict[str, SimpleType] = {}
-    raw_rules: List[Tuple[UTerm, UTerm]] = []
+    raw_rules: List[Tuple[list, list]] = []
     pairing = False
     while True:
         tok = parser.peek()
@@ -405,42 +387,39 @@ def parse_atrs(text: str) -> Atrs:
                     )
                 sorts[name.text] = Sort(name.text)
                 sort_order.append(name.text)
-        elif tok.text in ("cons", "fun"):
+        elif tok.text in ("cons", "fun", "var"):
             name = parser.expect_ident()
             parser.expect(":")
             ty = parser.parse_type(sorts)
             parser.expect(";")
-            if name.text in symbols:
+            if tok.text == "var":
+                if name.text in var_decls:
+                    raise ParseError(
+                        f"duplicate variable declaration {name.text}", name.line, name.col
+                    )
+                var_decls[name.text] = ty
+            elif name.text in symbols:
                 raise ParseError(
                     f"duplicate symbol {name.text}", name.line, name.col
                 )
-            kind = CONSTRUCTOR if tok.text == "cons" else DEFINED
-            symbols[name.text] = FuncSym(name.text, ty, kind)
-        elif tok.text == "var":
-            name = parser.expect_ident()
-            parser.expect(":")
-            ty = parser.parse_type(sorts)
-            parser.expect(";")
-            if name.text in var_decls:
-                raise ParseError(
-                    f"duplicate variable declaration {name.text}", name.line, name.col
-                )
-            var_decls[name.text] = ty
+            else:
+                kind = CONSTRUCTOR if tok.text == "cons" else DEFINED
+                symbols[name.text] = FuncSym(name.text, ty, kind)
         elif tok.text == "pairing":
             parser.expect(";")
             pairing = True
         else:  # rule
-            lhs = parser.parse_uterm()
+            lhs = parser.parse_code([])
             parser.expect("->")
-            rhs = parser.parse_uterm()
+            rhs = parser.parse_code([])
             parser.expect(";")
             raw_rules.append((lhs, rhs))
     rules = []
-    for index, (ulhs, urhs) in enumerate(raw_rules):
-        _check_pairing(ulhs, pairing)
-        _check_pairing(urhs, pairing)
+    for index, (lhs, rhs) in enumerate(raw_rules):
+        _check_pairing(lhs, pairing)
+        _check_pairing(rhs, pairing)
         rules.append(
-            _elaborate_rule(ulhs, urhs, symbols, var_decls, f"r{index + 1}")
+            _elaborate_rule(lhs, rhs, symbols, var_decls, f"r{index + 1}")
         )
     for name, ty in var_decls.items():
         if name in symbols:
@@ -470,29 +449,25 @@ def _check_product_types(symbols: Dict[str, FuncSym], pairing: bool) -> None:
 
 
 def _elaborate_rule(
-    ulhs: UTerm,
-    urhs: UTerm,
+    lhs: list,
+    rhs: list,
     symbols: Dict[str, FuncSym],
     var_decls: Dict[str, SimpleType],
     name: str,
 ) -> Rule:
     lhs_vars = {
-        atom.name for atom in _uterm_idents(ulhs) if atom.name not in symbols
+        tok.text for tok in lhs if isinstance(tok, Token) and tok.text not in symbols
     }
-    for atom in _uterm_idents(urhs):
-        if atom.name not in symbols and atom.name not in lhs_vars:
-            raise UndeclaredSymbol(
-                f"{atom.line}:{atom.col}: undeclared symbol {atom.name}"
-            )
+    _check_declared(rhs, symbols, lhs_vars)
     env: Dict[str, object] = {
         v: var_decls.get(v) or _MetaVar() for v in lhs_vars
     }
-    lhs_ty = _infer(ulhs, symbols, env)
-    rhs_ty = _infer(urhs, symbols, env)
+    lhs_ty = _infer(lhs, symbols, env)
+    rhs_ty = _infer(rhs, symbols, env)
     _unify(lhs_ty, rhs_ty)
-    lhs = _build(ulhs, symbols, env)
-    rhs = _build(urhs, symbols, env)
-    return Rule(lhs, rhs, name)
+    lhs_term = _build(lhs, symbols, env)
+    rhs_term = _build(rhs, symbols, env)
+    return Rule(lhs_term, rhs_term, name)
 
 
 def parse_term(
@@ -500,22 +475,17 @@ def parse_term(
 ) -> Term:
     """Parse a single term against the signature of atrs."""
     parser = _Parser(tokenize(text))
-    u = parser.parse_uterm()
+    code = parser.parse_code([])
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    _check_pairing(u, atrs.pairing)
+    _check_pairing(code, atrs.pairing)
     env: Dict[str, object] = dict(atrs.var_decls)
     if var_types:
         env.update(var_types)
-    known = set(env)
-    for atom in _uterm_idents(u):
-        if atom.name not in atrs.symbols and atom.name not in known:
-            raise UndeclaredSymbol(
-                f"{atom.line}:{atom.col}: undeclared symbol {atom.name}"
-            )
-    _infer(u, atrs.symbols, env)
-    return _build(u, atrs.symbols, env)
+    _check_declared(code, atrs.symbols, env)
+    _infer(code, atrs.symbols, env)
+    return _build(code, atrs.symbols, env)
 
 
 def print_type(ty: SimpleType) -> str:

@@ -101,12 +101,14 @@ def test_600_element_input_is_answered_by_run_and_refused_by_solve():
     assert done.stdout.splitlines()[0] == "1"
     assert "Traceback" not in done.stderr
     # the solver's representation space for lists of 600 elements is far
-    # beyond the default budget, so solve refuses with exit 2
-    done = run_majority_subprocess("solve", "--basic", 600)
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("error: representation space")
-    assert done.stderr.count("\n") == 1
+    # beyond the default budget, so solve refuses with exit 2; a list of
+    # 5,000 elements is read in full and refused the same way
+    for length in (600, 5000):
+        done = run_majority_subprocess("solve", "--basic", length)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: representation space")
+        assert done.stderr.count("\n") == 1
 
 
 def test_solve_reports_statements(capsys):

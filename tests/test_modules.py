@@ -31,9 +31,15 @@ def test_canonical_names():
 
 
 def test_bad_expressions_are_rejected():
-    for text in ["", "unknown", "prod(lin)", "exp()", "lin)"]:
+    for text in [
+        "", "unknown", "prod(lin)", "exp()", "lin)", "expab(2x,3)", "prod(lin,lin",
+        "exp(lin,lin)", "expab(1)", "lin2", "prod(lin,e)x", "expab(,1)", "exp(5)",
+        "expab(\u00b2,1)",  # a digit to str.isdigit, but not to int()
+    ]:
         with pytest.raises(ModuleError):
             parse_module_expr(text)
+    assert parse_module_expr("prod ( lin , e )") == ("prod", ("lin",), ("e",))
+    assert parse_module_expr("expab(02,3)") == ("expab", 2, 3)
     # well-formed text whose instantiation is impossible fails at generation
     for text in ["expab(0,1)", "pipi(lin)"]:
         with pytest.raises(ModuleError):

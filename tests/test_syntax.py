@@ -59,6 +59,14 @@ def test_term_round_trip(majority):
         assert term(print_term(t), majority) is t
 
 
+def test_long_list_parses_without_recursion(majority):
+    ones = "1 ; " * 5000 + "[]"
+    t = parse_term(f"majority ({ones})", majority)
+    assert t.head.name == "majority"
+    assert t.args == (encode_input("1" * 5000, majority),)
+    assert parse_term(print_term(t), majority) is t
+
+
 def test_type_printing():
     nat = Sort("nat")
     assert print_type(Arrow(Arrow(nat, nat), nat)) == "(nat => nat) => nat"
