@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .syntax import encode_input
 from .terms import (
@@ -83,8 +83,7 @@ class Engine:
             if isinstance(head, FuncSym):
                 self.rules_by_head.setdefault(head.name, []).append(rule)
             self.rules_by_name[rule.name] = rule
-        self._options: Dict[Tuple[Term, str], Tuple] = {}
-        self._normal: Dict[Term, bool] = {}
+        self._options: Dict[str, Dict[Term, Tuple]] = {}
 
     def node_matches(self, t: Term) -> List[Tuple[Rule, Dict[Variable, Term], int]]:
         """Rules whose pattern list matches a prefix of t's spine arguments."""
@@ -109,20 +108,29 @@ class Engine:
 
     def is_normal(self, t: Term) -> bool:
         """No reduct exists anywhere in t."""
-        cached = self._normal.get(t)
-        if cached is None:
-            cached = not self.node_matches(t) and all(
-                self.is_normal(arg) for arg in t.args
-            )
-            self._normal[t] = cached
-        return cached
+        return not self.step_options(t, FREE)
 
     def step_options(self, t: Term, strategy: str) -> Tuple[Tuple[Term, str, Tuple[int, ...]], ...]:
         """All one-step reducts of t under the strategy, with rule and path."""
-        key = (t, strategy)
-        cached = self._options.get(key)
-        if cached is not None:
-            return cached
+        memo = self._options.setdefault(strategy, {})
+        # fill the options of every unknown subterm of t, children first
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            if u in memo:
+                stack.pop()
+                continue
+            pending = [arg for arg in u.args if arg not in memo]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            memo[u] = self._options_at(u, strategy, memo)
+        return memo[t]
+
+    def _options_at(self, t: Term, strategy: str, memo: Dict[Term, Tuple]) -> Tuple:
+        """t's own contractions, then argument i's options for ascending i,
+        read from the arguments' memo entries."""
         out: List[Tuple[Term, str, Tuple[int, ...]]] = []
         matches = self.node_matches(t)
         blocked_below = 0
@@ -131,20 +139,16 @@ class Engine:
             matches = [m for m in matches if m[2] == kmax]
             blocked_below = kmax
         for rule, subst, k in matches:
-            if strategy == INNERMOST and not all(
-                self.is_normal(arg) for arg in t.args[:k]
-            ):
+            # a term without innermost options is normal, since a lowest
+            # redex has normal arguments
+            if strategy == INNERMOST and any(memo[arg] for arg in t.args[:k]):
                 continue
             out.append((self.contract(t, rule, subst, k), rule.name, ()))
-        for i, arg in enumerate(t.args):
-            if i < blocked_below:
-                continue
-            for reduct, name, path in self.step_options(arg, strategy):
+        for i, arg in enumerate(t.args[blocked_below:], blocked_below):
+            for reduct, name, path in memo[arg]:
                 args = t.args[:i] + (reduct,) + t.args[i + 1 :]
                 out.append((Term(t.head, args, t.type), name, (i,) + path))
-        result = tuple(out)
-        self._options[key] = result
-        return result
+        return tuple(out)
 
 
 def search_data_normal_forms(
@@ -236,11 +240,8 @@ class DecideResult:
 
 def accepts(atrs: Atrs, x: str, budget: Optional[Budget] = None) -> AcceptResult:
     """Search for the normal form true from decide applied to the input."""
-    decide_sym, true, _ = _decide_interface(atrs)
-    start = sym_term(decide_sym, encode_input(x, atrs))
-    search = search_data_normal_forms(start, atrs, FREE, budget)
-    answer = "yes" if true in search.data_normal_forms else "unknown"
-    return AcceptResult(answer, search)
+    result = decide(atrs, x, budget)
+    return AcceptResult("yes" if result.answer == "true" else "unknown", result.search)
 
 
 def decide(atrs: Atrs, x: str, budget: Optional[Budget] = None) -> DecideResult:
@@ -259,20 +260,20 @@ def decide(atrs: Atrs, x: str, budget: Optional[Budget] = None) -> DecideResult:
     return DecideResult(answer, nondeterministic, search)
 
 
-def _subterm_at(t: Term, path: Tuple[int, ...]) -> Term:
+def _rewrite_at(
+    t: Term, path: Tuple[int, ...], rewrite: Callable[[Term], Term]
+) -> Term:
+    """t with its subterm at path replaced by rewrite of that subterm."""
+    spine: List[Term] = []
     for i in path:
         if i >= len(t.args):
             raise NonReplayableTrace(f"path {path} leaves the term")
+        spine.append(t)
         t = t.args[i]
+    t = rewrite(t)
+    for parent, i in zip(reversed(spine), reversed(path)):
+        t = Term(parent.head, parent.args[:i] + (t,) + parent.args[i + 1 :], parent.type)
     return t
-
-
-def _replace_at(t: Term, path: Tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    i = path[0]
-    args = t.args[:i] + (_replace_at(t.args[i], path[1:], new),) + t.args[i + 1 :]
-    return Term(t.head, args, t.type)
 
 
 def replay_trace(root: Term, steps: List[Step], atrs: Atrs) -> List[Term]:
@@ -281,21 +282,19 @@ def replay_trace(root: Term, steps: List[Step], atrs: Atrs) -> List[Term]:
     terms = [root]
     current = root
     for name, path in steps:
-        rule = engine.rules_by_name.get(name)
-        if rule is None:
+        if name not in engine.rules_by_name:
             raise NonReplayableTrace(f"no rule named {name}")
-        node = _subterm_at(current, path)
-        found = None
-        for cand, subst, k in engine.node_matches(node):
-            if cand.name == name:
-                found = engine.contract(node, cand, subst, k)
-                break
-        if found is None:
+
+        def contract(node: Term) -> Term:
+            for cand, subst, k in engine.node_matches(node):
+                if cand.name == name:
+                    return engine.contract(node, cand, subst, k)
             raise NonReplayableTrace(
                 f"rule {name} does not apply at {format_step((name, path))} "
                 f"in {print_term(current)}"
             )
-        current = _replace_at(current, path, found)
+
+        current = _rewrite_at(current, path, contract)
         terms.append(current)
     return terms
 

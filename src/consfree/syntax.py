@@ -421,16 +421,17 @@ def parse_atrs(text: str) -> Atrs:
         rules.append(
             _elaborate_rule(lhs, rhs, symbols, var_decls, f"r{index + 1}")
         )
-    for name, ty in var_decls.items():
+    for name in var_decls:
         if name in symbols:
             raise TypeMismatch(f"{name} is declared both as a symbol and a variable")
-        if isinstance(ty, Product) and not pairing:
-            raise PairingRequired("product types require the pairing directive")
-    _check_product_types(symbols, pairing)
+    _check_product_types(
+        [*var_decls.items(), *((sym.name, sym.type) for sym in symbols.values())],
+        pairing,
+    )
     return Atrs(tuple(sort_order), symbols, rules, pairing, var_decls)
 
 
-def _check_product_types(symbols: Dict[str, FuncSym], pairing: bool) -> None:
+def _check_product_types(typed: List[Tuple[str, SimpleType]], pairing: bool) -> None:
     if pairing:
         return
 
@@ -441,11 +442,9 @@ def _check_product_types(symbols: Dict[str, FuncSym], pairing: bool) -> None:
             return has_product(ty.arg) or has_product(ty.res)
         return False
 
-    for sym in symbols.values():
-        if has_product(sym.type):
-            raise PairingRequired(
-                f"the type of {sym.name} requires the pairing directive"
-            )
+    for name, ty in typed:
+        if has_product(ty):
+            raise PairingRequired(f"the type of {name} requires the pairing directive")
 
 
 def _elaborate_rule(

@@ -76,35 +76,52 @@ def test_start_term_over_the_size_budget_is_exit_2(capsys):
     assert err == "error: the start term has 6 nodes, budget allows 3\n"
 
 
-def run_majority_subprocess(command, flag, length):
-    """Run a command on `majority` over a list of `length` ones in a fresh
+def majority_of_ones(length):
+    """`majority` applied to a list of `length` ones."""
+    return "majority (" + " ; ".join(["1"] * length) + " ; [])"
+
+
+def run_majority_subprocess(command, flag, text, *extra):
+    """Run a command on `majority` with the term `text` in a fresh
     interpreter, so that the default recursion limit applies."""
-    deep = "majority (" + " ; ".join(["1"] * length) + " ; [])"
     return subprocess.run(
-        [sys.executable, "-m", "consfree.cli", command, MAJORITY, flag, deep],
+        [sys.executable, "-m", "consfree.cli", command, MAJORITY, flag, text, *extra],
         capture_output=True, text=True, timeout=300,
     )
 
 
 @pytest.mark.parametrize("command,flag", [("run", "--term"), ("solve", "--basic")])
 def test_over_deep_input_is_exit_2_without_a_traceback(command, flag):
-    done = run_majority_subprocess(command, flag, 5000)
+    done = run_majority_subprocess(command, flag, majority_of_ones(5000))
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1
+    # parentheses nested beyond the interpreter's stack
+    nested = "majority " + "(" * 3000 + "[]" + ")" * 3000
+    done = run_majority_subprocess(command, flag, nested)
+    assert done.returncode == 2
+    assert done.stderr == "error: input nested too deeply for the interpreter's stack\n"
 
 
 def test_600_element_input_is_answered_by_run_and_refused_by_solve():
-    done = run_majority_subprocess("run", "--term", 600)
+    done = run_majority_subprocess("run", "--term", majority_of_ones(600))
     assert done.returncode == 0
     assert done.stdout.splitlines()[0] == "1"
     assert "Traceback" not in done.stderr
+    # with budgets that admit it, run answers a list of 5,000 elements too
+    done = run_majority_subprocess(
+        "run", "--term", majority_of_ones(5000),
+        "--max-term-size", "40000", "--max-steps", "20000",
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("1", "exhausted=false visited=5004")
     # the solver's representation space for lists of 600 elements is far
     # beyond the default budget, so solve refuses with exit 2; a list of
     # 5,000 elements is read in full and refused the same way
     for length in (600, 5000):
-        done = run_majority_subprocess("solve", "--basic", length)
+        done = run_majority_subprocess("solve", "--basic", majority_of_ones(length))
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: representation space")

@@ -1,9 +1,13 @@
 """Rewrite engine: reducts, strategies, bounded search, traces."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from consfree.engine import (
+    STRATEGIES,
     Budget,
     BudgetTooSmallForRoot,
     Engine,
@@ -79,6 +83,48 @@ def test_outermost_rewrites_the_head_first():
     t = term("either (either o (s o)) o", EITHER)
     outer = reducts(Engine(EITHER), t, "outermost")
     assert {print_term(u) for u in outer} == {"either o (s o)", "o"}
+
+
+@pytest.mark.parametrize(
+    "name,text,pinned",
+    [
+        ("majority.atrs", "majority (1;0;1;0;1;[])", (183, "206f38a36be73643")),
+        ("sat.atrs", "decide (1;?;#;?;0;#;[])", (183, "88185d2914566e02")),
+    ],
+    ids=["majority", "sat"],
+)
+def test_options_and_searches_keep_their_digest(name, text, pinned):
+    # the exactness gate: ordered one-step options and normality along
+    # seeded walks (a normal form restarts the walk), then each strategy's
+    # search with its traces, which must replay
+    atrs = load(name)
+    start = term(text, atrs)
+    lines = []
+    for strategy in STRATEGIES:
+        engine = Engine(atrs)
+        rng = random.Random(7)
+        current = start
+        for _ in range(60):
+            options = engine.step_options(current, strategy)
+            lines.append(repr((
+                strategy,
+                print_term(current),
+                engine.is_normal(current),
+                [(print_term(u), rule, path) for u, rule, path in options],
+            )))
+            current = rng.choice(options)[0] if options else start
+        result = search_data_normal_forms(start, atrs, strategy)
+        for nf, steps in result.traces.items():
+            assert replay_trace(start, steps, atrs)[-1] == nf
+        lines.append(repr((
+            strategy,
+            sorted(print_term(nf) for nf in result.data_normal_forms),
+            result.exhausted,
+            result.visited,
+            sorted((print_term(nf), steps) for nf, steps in result.traces.items()),
+        )))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest[:16]) == pinned
 
 
 def test_unknown_strategy_is_rejected(majority):

@@ -96,6 +96,14 @@ def test_product_syntax_requires_pairing_directive():
     with pytest.raises(PairingRequired):
         parse_atrs(text)
     assert parse_atrs("pairing ;\n" + text).pairing
+    # a product below an arrow in a variable declaration
+    nested = (
+        "sort nat ; cons o : nat ; fun f : nat => nat ;"
+        " var g : nat => nat * nat ; rule f o -> o ;"
+    )
+    with pytest.raises(PairingRequired):
+        parse_atrs(nested)
+    assert parse_atrs("pairing ;\n" + nested).pairing
 
 
 def test_parse_errors_carry_positions():
