@@ -106,10 +106,6 @@ class Engine:
         """Replace the matched prefix of t by the instantiated right-hand side."""
         return apply_term(apply_subst(rule.rhs, subst), *t.args[k:])
 
-    def is_normal(self, t: Term) -> bool:
-        """No reduct exists anywhere in t."""
-        return not self.step_options(t, FREE)
-
     def step_options(self, t: Term, strategy: str) -> Tuple[Tuple[Term, str, Tuple[int, ...]], ...]:
         """All one-step reducts of t under the strategy, with rule and path."""
         memo = self._options.setdefault(strategy, {})
@@ -222,26 +218,12 @@ def _decide_interface(atrs: Atrs) -> Tuple[FuncSym, Term, Term]:
 
 
 @dataclass
-class AcceptResult:
-    """Whether true is reachable from decide applied to the encoded input."""
-
-    answer: str  # "yes" or "unknown"
-    search: SearchResult
-
-
-@dataclass
 class DecideResult:
     """A three-valued verdict, with a nondeterminism warning."""
 
     answer: str  # "true", "false", or "unknown"
     nondeterministic: bool
     search: SearchResult
-
-
-def accepts(atrs: Atrs, x: str, budget: Optional[Budget] = None) -> AcceptResult:
-    """Search for the normal form true from decide applied to the input."""
-    result = decide(atrs, x, budget)
-    return AcceptResult("yes" if result.answer == "true" else "unknown", result.search)
 
 
 def decide(atrs: Atrs, x: str, budget: Optional[Budget] = None) -> DecideResult:

@@ -20,17 +20,33 @@ reverse index from each group to the groups whose last evaluation read it;
 every other group keeps its values without a visit. All due evaluations sit
 on one worklist, always taken at its lowest step. A group demanded while
 layer L runs is new: its values are unknown, so it joins the worklist at
-step 1, and an evaluation at step k that must read it is re-queued at k; the
-lowest-step order brings the new groups up to date through k-1 before the
-retry. A group is therefore evaluated at step 1 and again right after each
-step that confirmed a statement of a group it read, while it has an
-unconfirmed statement, and at no other step.
+step 1. An evaluation at step k that reads a new group first brings it up to
+date through k-1: the read runs the worklist through step k-1 inside itself,
+and the lowest-step order then evaluates the new group and the groups it
+demands in turn, and nothing else. Past CATCH_UP_DEPTH such nested runs the
+read abandons the evaluation instead (`_Blocked`), which is re-queued at k,
+so the outer worklist does the same catch-up before the retry. A group is
+therefore evaluated at step 1 and again right after each step that
+confirmed a statement of a group it read, while it has an unconfirmed
+statement, and at no other step.
+
+Evaluation runs compiled code (closure generation). Each rule's right-hand
+side, padded to full arity, is compiled once per solver, on its head's
+first use, into a tree of closures: variables read slots of an environment
+list, and data constants are prebuilt singletons. A call whose arguments
+call no defined symbol is static: a rule instance's arguments fix it, so
+the instance is built with its group, demanded there and then. Instances
+are built at their group's first evaluation, at step 1, which reads every
+group at step 0, where all values are empty; so a static call never reads
+a new group past step 0, and only nested calls, whose arguments are
+computed, can meet one. `evaluate` compiles its query terms the same way,
+with every call read through the group table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .terms import (
     Arrow,
@@ -47,15 +63,19 @@ from .terms import (
     arg_types,
     flatten_product,
     is_basic,
-    is_data,
     pair,
     print_term,
     result_type,
+    subterms,
     sym_term,
+    variables,
 )
 from .validation import BSet, NotBasic, check, compute_B, prune_ho_constructors
 
 DEFAULT_SPACE_BUDGET = 2 ** 20
+# How many runs of the worklist may nest, each inside a read of a new group,
+# before a read of a new group abandons its evaluation instead.
+CATCH_UP_DEPTH = 8
 
 
 class NotConsFree(Exception):
@@ -255,15 +275,16 @@ class _Group:
     keys and `last` the latest step among its values, so `value` is the
     group's value at every step from `last` on. The group is open while
     fewer than `count` targets are confirmed. `plans` are the rule
-    instances, built on first evaluation. `deps` are the groups its last
-    evaluation read, `dependents` the groups whose evaluations read it, and
-    `wake` the step of its next evaluation, if one is due. A group with
-    targets is `new` from its demand until it joins the worklist; its values
-    past step 0 are unknown until then."""
+    instances, built on first evaluation, and `reads` the groups of their
+    static call sites. `deps` are the groups its last evaluation read,
+    `dependents` the groups whose evaluations read it, and `wake` the step
+    of its next evaluation, if one is due. A group with targets is `new`
+    from its demand until it joins the worklist; its values past step 0 are
+    unknown until then."""
 
     __slots__ = (
         "fname", "args", "count", "confirmed", "value", "last", "plans",
-        "deps", "dependents", "wake", "new",
+        "reads", "deps", "dependents", "wake", "new",
     )
 
     def __init__(self, fname: str, args: Tuple[Repr, ...], count: int) -> None:
@@ -273,7 +294,8 @@ class _Group:
         self.confirmed: Dict[Term, int] = {}
         self.value: FrozenSet = frozenset()
         self.last = 0
-        self.plans: Optional[List] = None
+        self.plans: Optional[List[Tuple["Code", List]]] = None
+        self.reads: Tuple["_Group", ...] = ()
         self.deps: FrozenSet["_Group"] = frozenset()
         self.dependents: Dict["_Group", None] = {}
         self.wake: Optional[int] = None
@@ -283,9 +305,47 @@ class _Group:
     def open(self) -> bool:
         return len(self.confirmed) < self.count
 
+    def at(self, i: int) -> FrozenSet:
+        """The group's value at step i."""
+        if i >= self.last:
+            return self.value
+        return frozenset(target for target, at in self.confirmed.items() if at <= i)
+
 
 class _Blocked(Exception):
     """An evaluation must read a new group past step 0."""
+
+
+# A compiled term: code(i, env, deps) is the term's representation at step i,
+# where env holds a value per variable slot and, for a rule instance, the
+# group of each static call site after them; it adds the groups it reads
+# outside env to deps, through Solver._read.
+Code = Callable[[int, List, set], Repr]
+
+
+def _arguments(codes: List[Code]) -> Callable[[int, List, set], Tuple]:
+    """A code for the tuple of the codes' values."""
+    if not codes:
+        return lambda i, env, deps: ()
+    if len(codes) == 1:
+        (only,) = codes
+        return lambda i, env, deps: (only(i, env, deps),)
+    if len(codes) == 2:
+        first, second = codes
+        return lambda i, env, deps: (first(i, env, deps), second(i, env, deps))
+    if len(codes) == 3:
+        first, second, third = codes
+        return lambda i, env, deps: (
+            first(i, env, deps), second(i, env, deps), third(i, env, deps)
+        )
+    return lambda i, env, deps: tuple([code(i, env, deps) for code in codes])
+
+
+def _calls(t: Term) -> bool:
+    """Whether t has a subterm headed by a defined symbol."""
+    return any(
+        isinstance(s.head, FuncSym) and not s.head.is_constructor for s in subterms(t)
+    )
 
 
 @dataclass
@@ -340,6 +400,12 @@ class Solver:
                 )
                 rhs = apply_term(rule.rhs, *pads)
                 self.rules_by_head.setdefault(head.name, []).append((rhs, patterns))
+        # per head, its rules compiled on its first plans, once B is fixed;
+        # per query term, its code and variable names; per data term, its
+        # singleton
+        self._compiled: Dict[str, List[Tuple]] = {}
+        self._queries: Dict[Term, Tuple[Code, List[str]]] = {}
+        self._singletons: Dict[Term, FrozenSet] = {}
         self.groups: Dict[Tuple, _Group] = {}
         self.targets_cache: Dict[SimpleType, List] = {}
         self.step = 0
@@ -350,6 +416,8 @@ class Solver:
         self._confirmed = 0
         self._due: Dict[int, List[_Group]] = {}
         self._new: List[_Group] = []
+        # _nested: the runs of the worklist nested inside a read
+        self._nested = 0
 
     @property
     def confirmed_at(self) -> Dict[Stmt, int]:
@@ -390,73 +458,185 @@ class Solver:
 
     # -- data representations -------------------------------------------
 
-    def _data_value(self, t: Term) -> Repr:
-        """The singleton of a data term whose components lie in B."""
-        if isinstance(t.head, PairHead):
-            for arg in t.args:
-                self._data_value(arg)
-        elif t not in self.B:
-            raise NonBSafeTerm(f"data term {print_term(t)} lies outside the universe")
-        return frozenset([t])
+    def _singleton(self, t: Term) -> FrozenSet:
+        """The singleton of a data term whose components lie in B, one object
+        per term."""
+        value = self._singletons.get(t)
+        if value is None:
+            stack = [t]
+            while stack:
+                u = stack.pop()
+                if isinstance(u.head, PairHead):
+                    stack += u.args
+                elif u not in self.B:
+                    raise NonBSafeTerm(
+                        f"data term {print_term(u)} lies outside the universe"
+                    )
+            value = self._singletons[t] = frozenset((t,))
+        return value
+
+    # -- compiling terms ------------------------------------------------
+
+    def _compile(self, t: Term, slots: Dict[str, int], sites: Optional[List]) -> Code:
+        """The code of t, whose variables read the env slots that slots
+        names. Given a sites list, a saturated call whose arguments call no
+        defined symbol is static: its arguments depend on the environment
+        alone, so it is appended to sites and reads its group from env, from
+        the slot after the variables' and the earlier sites'; plans resolves
+        it once per rule instance."""
+        head = t.head
+        if isinstance(head, Variable):
+            return self._compile_variable(
+                head.name, slots[head.name], [self._compile(a, slots, sites) for a in t.args]
+            )
+        if t.is_data:
+            try:
+                value = self._singleton(t)
+            except NonBSafeTerm as exc:
+                message = str(exc)
+
+                def outside(i, env, deps):
+                    raise NonBSafeTerm(message)
+
+                return outside
+            return lambda i, env, deps: value
+        if isinstance(head, PairHead):
+            components = _arguments([self._compile(a, slots, sites) for a in t.args])
+
+            def product(i, env, deps):
+                left, right = components(i, env, deps)
+                return frozenset([pair(l, r) for l in left for r in right])
+
+            return product
+        if head.is_constructor:
+            # in a rule instance a constructor term's variables are pattern
+            # variables, bound to singletons
+            build = self._compile_build(t, slots)
+            singleton = self._singleton
+            return lambda i, env, deps: singleton(build(env))
+        codes = [self._compile(a, slots, sites) for a in t.args]
+        if isinstance(t.type, Arrow):
+            prefix = _arguments(codes)
+            tabulate = self._tabulate
+            return lambda i, env, deps: tabulate(i, head, list(prefix(i, env, deps)), deps)
+        if sites is not None and not any(_calls(a) for a in t.args):
+            slot = len(slots) + len(sites)
+            sites.append((head.name, _arguments(codes)))
+
+            def static(i, env, deps):
+                group = env[slot]
+                return group.value if i >= group.last else group.at(i)
+
+            return static
+        name = head.name
+        arguments = _arguments(codes)
+        read = self._read
+        return lambda i, env, deps: read(i, name, arguments(i, env, deps), deps)
+
+    def _compile_variable(self, name: str, slot: int, codes: List[Code]) -> Code:
+        def unbound():
+            return UnboundVariable(f"variable {name} is not bound")
+
+        if not codes:
+
+            def variable(i, env, deps):
+                value = env[slot]
+                if value is None:
+                    raise unbound()
+                return value
+
+            return variable
+        arguments = _arguments(codes)
+
+        def application(i, env, deps):
+            value = env[slot]
+            if value is None:
+                raise unbound()
+            for arg in arguments(i, env, deps):
+                value = value.apply(arg)
+            return value
+
+        return application
+
+    def _compile_build(self, t: Term, slots: Dict[str, int]) -> Callable[[List], Term]:
+        """A function from env to the data term that t, a constructor or pair
+        term over variables bound to singletons, denotes."""
+        if t.is_data:
+            return lambda env: t
+        head = t.head
+        if isinstance(head, Variable):
+            slot = slots[head.name]
+
+            def member(env):
+                try:
+                    (only,) = env[slot]
+                except (TypeError, ValueError):
+                    raise NonBSafeTerm(
+                        f"{print_term(t)} does not denote one data term"
+                    ) from None
+                return only
+
+            return member
+        parts = [self._compile_build(a, slots) for a in t.args]
+        if isinstance(head, PairHead):
+            left, right = parts
+            return lambda env: pair(left(env), right(env))
+        ty = t.type
+        return lambda env: Term(head, tuple([part(env) for part in parts]), ty)
+
+    def _compile_rules(self, fname: str) -> List[Tuple]:
+        """Per rule for fname: its code, the argument index and slot of each
+        top-level variable or pad, the argument index of each pattern with
+        the pattern, the slots by variable name, and the static call sites."""
+        compiled = []
+        for rhs, patterns in self.rules_by_head.get(fname, ()):
+            slots: Dict[str, int] = {}
+            tops: List[Tuple[int, int]] = []
+            matched: List[Tuple[int, Term]] = []
+            for j, pattern in enumerate(patterns):
+                if isinstance(pattern, str):
+                    tops.append((j, slots.setdefault(pattern, len(slots))))
+                    continue
+                for name in sorted(v.name for v in variables(pattern)):
+                    slots.setdefault(name, len(slots))
+                matched.append((j, pattern))
+            for name in sorted(v.name for v in variables(rhs)):
+                slots.setdefault(name, len(slots))
+            sites: List[Tuple[str, Callable]] = []
+            code = self._compile(rhs, slots, sites)
+            compiled.append((code, tops, matched, slots, sites))
+        return compiled
+
+    def _query(self, t: Term) -> Tuple[Code, List[str]]:
+        """The code of a query term, compiled on first use, and the names of
+        its variables in slot order."""
+        found = self._queries.get(t)
+        if found is None:
+            names = sorted({v.name for v in variables(t)})
+            slots = {name: k for k, name in enumerate(names)}
+            found = self._queries[t] = (self._compile(t, slots, None), names)
+        return found
 
     # -- evaluation -----------------------------------------------------
 
-    def nf(self, i: int, t: Term, eta: Dict[str, Repr], deps: set) -> Repr:
-        """The representation of t at step i under eta, a dict from variable
-        names to representations; adds the groups it reads to deps. Raises
-        _Blocked if it must read a group whose values at step i are not known
-        yet. A constructor term with variables is rebuilt by _instantiate: in
-        a rule instance they are pattern variables, bound to singletons."""
-        head = t.head
-        if isinstance(head, FuncSym):
-            if head.is_constructor:
-                if is_data(t):
-                    return self._data_value(t)
-                return self._data_value(self._instantiate(t, eta))
-            arg_values = [self.nf(i, arg, eta, deps) for arg in t.args]
-            if isinstance(t.type, Arrow):
-                return self._tabulate(i, head, arg_values, deps)
-            return self._saturated(i, head, tuple(arg_values), deps)
-        if isinstance(head, Variable):
-            value = eta.get(head.name)
-            if value is None:
-                raise UnboundVariable(f"variable {head.name} is not bound")
-            for arg in t.args:
-                value = value.apply(self.nf(i, arg, eta, deps))
-            return value
-        if is_data(t):
-            return self._data_value(t)
-        left = self.nf(i, t.args[0], eta, deps)
-        right = self.nf(i, t.args[1], eta, deps)
-        return frozenset(pair(l, r) for l in left for r in right)
-
-    def _instantiate(self, t: Term, eta: Dict[str, Repr]) -> Term:
-        """The data term that t, a constructor or pair term over variables
-        bound to singletons, denotes under eta."""
-        if isinstance(t.head, Variable):
-            value = eta.get(t.head.name)
-            if not isinstance(value, frozenset) or len(value) != 1:
-                raise NonBSafeTerm(f"{print_term(t)} does not denote one data term")
-            return next(iter(value))
-        args = tuple(self._instantiate(arg, eta) for arg in t.args)
-        if isinstance(t.head, PairHead):
-            return pair(*args)
-        return Term(t.head, args, t.type)
-
-    def _saturated(
-        self, i: int, head: FuncSym, args: Tuple[Repr, ...], deps: set
-    ) -> FrozenSet:
-        group = self.groups.get((head.name, args))
+    def _read(self, i: int, name: str, args: Tuple[Repr, ...], deps: set) -> FrozenSet:
+        """The value at step i of the group `name args`, demanding it and
+        adding it to deps. A new group's values past step 0 are unknown: the
+        worklist brings it up to date through step i first, nested inside
+        this read, or past CATCH_UP_DEPTH nested runs raises _Blocked."""
+        group = self.groups.get((name, args))
         if group is None:
-            group = self._group(head.name, args)
+            group = self._group(name, args)
         deps.add(group)
-        if group.new and i > 0:
-            raise _Blocked()
-        if i >= group.last:
-            return group.value
-        return frozenset(
-            target for target, at in group.confirmed.items() if at <= i
-        )
+        if group.new and i:
+            if self._nested >= CATCH_UP_DEPTH:
+                raise _Blocked()
+            self._nested += 1
+            try:
+                self._run(i)
+            finally:
+                self._nested -= 1
+        return group.value if i >= group.last else group.at(i)
 
     def _tabulate(
         self, i: int, head: FuncSym, prefix: List[Repr], deps: set
@@ -470,50 +650,69 @@ class Solver:
         dom = self.space(next_ty)
         table = []
         for index in range(dom.card):
-            value = dom.elem_at(index)
-            extended = prefix + [value]
+            extended = prefix + [dom.elem_at(index)]
             if len(extended) == head.arity:
-                table.append(self._saturated(i, head, tuple(extended), deps))
+                table.append(self._read(i, head.name, tuple(extended), deps))
             else:
                 table.append(self._tabulate(i, head, extended, deps))
         return FnRepr(fn_space, tuple(table))
 
     # -- statements -----------------------------------------------------
 
-    def plans(self, fname: str, args: Tuple[Repr, ...]) -> List:
-        """The rule instances for `fname args`: a rule's padded right-hand
-        side, shared by its instances, with an environment. Top-level
-        variables and pads are bound to their arguments' representations;
-        one instance per choice of a member matching each constructor or pair
-        pattern binds that pattern's variables to singleton data values."""
+    def plans(self, fname: str, args: Tuple[Repr, ...]) -> Tuple[List, Tuple]:
+        """The rule instances for `fname args`, and the groups their static
+        call sites read, demanding them. An instance is a rule's code, shared
+        by its instances, with an env: top-level variables and pads are
+        bound to their arguments' representations, one instance per choice
+        of a member matching each constructor or pair pattern binds that
+        pattern's variables to singleton data values, and the group of each
+        static call site follows the variables."""
+        compiled = self._compiled.get(fname)
+        if compiled is None:
+            compiled = self._compiled[fname] = self._compile_rules(fname)
         plans = []
-        for rhs, patterns in self.rules_by_head.get(fname, ()):
-            envs: List[Dict[str, Repr]] = [{}]
-            for j, pattern in enumerate(patterns):
-                if isinstance(pattern, str):
-                    for eta in envs:
-                        eta[pattern] = args[j]
-                    continue
+        reads: Dict[_Group, None] = {}
+        for code, tops, matched, slots, sites in compiled:
+            env = [None] * len(slots)
+            for j, slot in tops:
+                env[slot] = args[j]
+            envs = [env]
+            for j, pattern in matched:
                 matches = []
                 for member in args[j]:
                     subst: Dict[Variable, Term] = {}
                     if _match_into(pattern, member, subst):
                         matches.append(
-                            {v.name: self._data_value(d) for v, d in subst.items()}
+                            [(slots[v.name], self._singleton(d)) for v, d in subst.items()]
                         )
-                envs = [{**eta, **match} for eta in envs for match in matches]
-            plans += [(rhs, eta) for eta in envs]
-        return plans
+                extended = []
+                for env in envs:
+                    for match in matches:
+                        bound = env.copy()
+                        for slot, value in match:
+                            bound[slot] = value
+                        extended.append(bound)
+                envs = extended
+            for env in envs:
+                for name, arguments in sites:
+                    key = (name, arguments(0, env, None))
+                    group = self.groups.get(key)
+                    if group is None:
+                        group = self._group(*key)
+                    env.append(group)
+                    reads[group] = None
+                plans.append((code, env))
+        return plans, tuple(reads)
 
     def rule_union(self, j: int, group: _Group):
         """Everything any rule instance for the group's call can produce at
         step j, and the groups read to find it."""
         if group.plans is None:
-            group.plans = self.plans(group.fname, group.args)
-        deps: set = set()
+            group.plans, group.reads = self.plans(group.fname, group.args)
+        deps = set(group.reads)
         out: set = set()
-        for rhs, eta in group.plans:
-            out |= self.nf(j - 1, rhs, eta, deps)
+        for code, env in group.plans:
+            out |= code(j - 1, env, deps)
         return frozenset(out), frozenset(deps)
 
     def _group(self, fname: str, args: Tuple[Repr, ...]) -> _Group:
@@ -549,9 +748,10 @@ class Solver:
         for dep in deps:
             dep.dependents[group] = None
             # a statement read as unconfirmed, but confirmed since
-            for at in dep.confirmed.values():
-                if at >= step and (wake is None or at < wake):
-                    wake = at
+            if dep.last >= step:
+                for at in dep.confirmed.values():
+                    if at >= step and (wake is None or at < wake):
+                        wake = at
         fresh = union - group.value
         if fresh:
             group.confirmed.update(dict.fromkeys(fresh, step))
@@ -574,9 +774,10 @@ class Solver:
 
     def _run(self, last: int) -> None:
         """Join the new groups, then evaluate the due groups through step
-        last, always at the lowest due step. An evaluation that must read a
-        new group joins it and is re-queued at its own step, so the lower
-        steps bring the new group up to date before the retry."""
+        last, always at the lowest due step. A run may nest inside a read
+        of a new group (see _read). An evaluation abandoned there, past
+        CATCH_UP_DEPTH nested runs, is re-queued at its own step, so the
+        lower steps bring the new group up to date before the retry."""
         self._join()
         while self._due:
             k = min(self._due)
@@ -601,7 +802,7 @@ class Solver:
             self._schedule(group, 1)
         self._new = []
 
-    def _layer(self, queries: List[Tuple[Term, Dict[str, Repr]]]) -> List[Repr]:
+    def _layer(self, queries: List[Tuple[Code, List]]) -> List[Repr]:
         """Run layer L = step + 1, and evaluate the queries at L. Only the
         groups due at L are evaluated: those that read a statement confirmed
         at L-1. Groups demanded on the way join the worklist at step 1."""
@@ -609,11 +810,11 @@ class Solver:
         while True:
             self._run(self.step)
             try:
-                return [self.nf(self.step, t, eta, set()) for t, eta in queries]
+                return [code(self.step, env, set()) for code, env in queries]
             except _Blocked:
                 continue
 
-    def _fixpoint(self, queries: List[Tuple[Term, Dict[str, Repr]]]) -> List[Repr]:
+    def _fixpoint(self, queries: List[Tuple[Code, List]]) -> List[Repr]:
         """Run layers until one confirms and demands nothing new and the
         queries' values repeat; returns those values."""
         previous: Optional[List[Repr]] = None
@@ -638,9 +839,14 @@ class Solver:
         return self.step
 
     def evaluate(self, queries: List[Tuple[Term, Dict[str, Repr]]]) -> List[Repr]:
-        """Evaluate terms under environments at the stable table, extending the
-        demanded fragment as needed."""
-        return self._fixpoint(queries)
+        """Evaluate terms under environments, dicts from variable names to
+        representations, at the stable table, extending the demanded
+        fragment as needed."""
+        compiled = []
+        for t, eta in queries:
+            code, names = self._query(t)
+            compiled.append((code, [eta.get(name) for name in names]))
+        return self._fixpoint(compiled)
 
 
 def solve(
@@ -657,11 +863,12 @@ def solve(
     head = s.head
     if head.name not in solver.symbols:
         raise NotBasic(f"{head.name} was pruned from the system")
-    args = tuple(solver._data_value(arg) for arg in s.args)
+    args = tuple(solver._singleton(arg) for arg in s.args)
     res_ty = result_type(head.type)
     seeds = [Stmt(head.name, args, target) for target in solver.targets(res_ty)]
     steps = solver.advance_to_fixpoint(seeds)
-    found = [stmt.target for stmt in seeds if solver.conf(steps, stmt)]
+    seed = solver.groups.get((head.name, args))
+    found = list(seed.confirmed) if seed is not None else []
     return SolveResult(
         sorted(found, key=print_term),
         steps,

@@ -6,7 +6,8 @@ import pytest
 
 from consfree.syntax import parse_atrs, parse_term
 
-CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "consfree" / "corpus"
+TESTS = pathlib.Path(__file__).resolve().parent
+CORPUS = TESTS.parent / "src" / "consfree" / "corpus"
 ATRS_NAMES = sorted(p.name for p in CORPUS.glob("*.atrs"))
 
 

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from consfree import cli
 from consfree.cli import main
 
 from conftest import CORPUS
@@ -74,6 +75,17 @@ def test_start_term_over_the_size_budget_is_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: the start term has 6 nodes, budget allows 3\n"
+
+
+def test_memory_exhaustion_is_exit_2_without_a_traceback(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_run", exhausted)
+    code, out, err = run_cli(["run", MAJORITY, "--term", "majority (1;0;[])"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 def majority_of_ones(length):

@@ -13,7 +13,6 @@ from consfree.engine import (
     Engine,
     MissingDecideSymbol,
     NonReplayableTrace,
-    accepts,
     decide,
     replay_trace,
     search_data_normal_forms,
@@ -109,7 +108,7 @@ def test_options_and_searches_keep_their_digest(name, text, pinned):
             lines.append(repr((
                 strategy,
                 print_term(current),
-                engine.is_normal(current),
+                not engine.step_options(current, "free"),
                 [(print_term(u), rule, path) for u, rule, path in options],
             )))
             current = rng.choice(options)[0] if options else start
@@ -138,7 +137,7 @@ def test_search_majority(majority):
     assert not result.exhausted
     engine = Engine(majority)
     for t in result.data_normal_forms:
-        assert is_data(t) and engine.is_normal(t)
+        assert is_data(t) and not engine.step_options(t, "free")
 
 
 def test_search_fsucc_example(hocount):
@@ -207,12 +206,13 @@ def test_semi_outermost_rejects_argument_only_evaluation():
     assert validate_semi_outermost(s, [("r1", ())], system)
 
 
-def test_accepts_and_decide():
+def test_decide_is_three_valued():
     system = load("contains1.atrs")
-    assert accepts(system, "01").answer == "yes"
     assert decide(system, "01").answer == "true"
     assert decide(system, "00").answer == "false"
-    assert accepts(system, "00").answer == "unknown"
+    # true not found before the budget ran out
+    cut = decide(system, "01", Budget(1, 100000, 5000))
+    assert cut.search.exhausted and cut.answer == "unknown"
 
 
 def test_decide_requires_the_interface(succ_system):

@@ -13,11 +13,13 @@ import pytest
 from consfree.compiler import compile_tm
 from consfree.engine import Budget, search_data_normal_forms
 from consfree.modules import module_selftest, parse_module_expr
+import consfree.solver as solver_module
 from consfree.solver import (
     NotConsFree,
     ReprSpaceTooLarge,
     Solver,
     Stmt,
+    _Blocked,
     build_space,
     within_cardinality_bound,
     repr_cardinality,
@@ -28,7 +30,7 @@ from consfree.terms import Arrow, PairHead, Product, Sort, pair, print_term, sym
 from consfree.tm import simulate_tm
 from consfree.validation import BSet, NotBasic, compute_B, prune_ho_constructors
 
-from conftest import CORPUS, corpus_text, load, term
+from conftest import CORPUS, TESTS, corpus_text, load, term
 
 SATURATING = [
     ("majority.atrs", "majority (1 ; 0 ; [])"),
@@ -174,42 +176,73 @@ def canonical(value):
     return [canonical(entry) for entry in value.table]
 
 
-def solve_majority():
-    majority = load("majority.atrs")
-    solve(majority, term("majority (1 ; 0 ; [])", majority))
+def solving(name, text):
+    def run():
+        atrs = load(name)
+        solve(atrs, term(text, atrs))
+
+    return run
 
 
-def solve_parity_e_01():
-    atrs = compile_tm(parse_tm(corpus_text("parity.tm")), parse_module_expr("e")).atrs
-    solve(atrs, sym_term(atrs.symbols["decide"], encode_input("01", atrs)))
+def deciding(machine, module, x):
+    def run():
+        atrs = compile_tm(parse_tm(corpus_text(machine)), parse_module_expr(module)).atrs
+        solve(atrs, sym_term(atrs.symbols["decide"], encode_input(x, atrs)))
+
+    return run
 
 
-def selftest_expab_2():
-    module_selftest("expab(1,1)", 2)
+def selftesting(expr, n):
+    return lambda: module_selftest(expr, n)
 
 
-@pytest.mark.parametrize(
-    "run,pinned",
-    [
-        (solve_majority, (6, 11, "3f26a54cb1f743bc")),
-        (solve_parity_e_01, (1244, 3904, "0df41bef7439ed88")),
-        (selftest_expab_2, (440, 1122, "e471ce2a599611eb")),
-    ],
-    ids=["majority", "parity-e-01", "expab-2"],
-)
-def test_confirmations_and_evaluations_keep_their_digest(run, pinned, monkeypatch):
-    # the exactness gate: which statement is confirmed at which step, and
-    # which group is evaluated at which step, down to every member
+# the exactness gate's cases and their pins: confirmations, evaluations and
+# the digest of both, as the tree-walking solver computed them
+DIGEST_CASES = {
+    "majority": (solving("majority.atrs", "majority (1 ; 0 ; [])"), (6, 11, "3f26a54cb1f743bc")),
+    "parity-e-01": (deciding("parity.tm", "e", "01"), (1244, 3904, "0df41bef7439ed88")),
+    "parity-e-11": (deciding("parity.tm", "e", "11"), (1236, 3894, "5539db6b23d057c4")),
+    "contains1-prod-10": (
+        deciding("contains1.tm", "prod(lin,lin)", "10"),
+        (1129, 6373, "8ebf7f3137fc7ad2"),
+    ),
+    "contains1-prod-11": (
+        deciding("contains1.tm", "prod(lin,lin)", "11"),
+        (1121, 6362, "480f103e673e20e4"),
+    ),
+    "expab-2": (selftesting("expab(1,1)", 2), (440, 1122, "e471ce2a599611eb")),
+    "lin-4": (selftesting("lin", 4), (62, 175, "c6ca200fe94dcb98")),
+    "explin-1": (selftesting("exp(lin)", 1), (269, 1064, "25e89bd8053e5985")),
+    "ho_apply": (solving("ho_apply.atrs", "decide (1 ; [])"), (6, 8, "9a339e8850eb2101")),
+    "fsucc": (
+        solving("consfree_fsucc.atrs", "main (s (s o)) (s (s o))"),
+        (58, 143, "1dc447363ff6c3c7"),
+    ),
+}
+
+
+def exactness_digest(run):
+    """Run one solver, and digest which statement it confirms at which step
+    and which group it evaluates at which step, down to every member;
+    returns the two counts and the digest's first 16 hex digits."""
     solvers = []
-    original_init = Solver.__init__
+    evaluations = Counter()
+    original_init, original_union = Solver.__init__, Solver.rule_union
 
     def recorded(self, *args, **kwargs):
         original_init(self, *args, **kwargs)
         solvers.append(self)
 
-    monkeypatch.setattr(Solver, "__init__", recorded)
-    evaluations = count_evaluations(monkeypatch)
-    run()
+    def counted(self, j, group):
+        result = original_union(self, j, group)
+        evaluations[(j, group.fname, group.args)] += 1
+        return result
+
+    Solver.__init__, Solver.rule_union = recorded, counted
+    try:
+        run()
+    finally:
+        Solver.__init__, Solver.rule_union = original_init, original_union
     (solver,) = solvers
     assert max(evaluations.values()) == 1
     confirmed = sorted(
@@ -220,7 +253,76 @@ def test_confirmations_and_evaluations_keep_their_digest(run, pinned, monkeypatc
         repr((j, fname, [canonical(a) for a in args])) for j, fname, args in evaluations
     )
     digest = hashlib.sha256("\n".join(confirmed + evaluated).encode()).hexdigest()
-    assert (len(confirmed), len(evaluated), digest[:16]) == pinned
+    return len(confirmed), len(evaluated), digest[:16]
+
+
+@pytest.mark.parametrize("case", list(DIGEST_CASES))
+def test_confirmations_and_evaluations_keep_their_digest(case):
+    # the exactness gate: which statement is confirmed at which step, and
+    # which group is evaluated at which step, down to every member
+    run, pinned = DIGEST_CASES[case]
+    assert exactness_digest(run) == pinned
+
+
+def test_the_digest_does_not_depend_on_the_hash_seed():
+    script = (
+        "import sys\n"
+        "import test_solver\n"
+        "run, pinned = test_solver.DIGEST_CASES['contains1-prod-10']\n"
+        "print(test_solver.exactness_digest(run) == pinned)\n"
+    )
+    for seed in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = seed
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(CORPUS.parents[1]), str(TESTS), os.environ.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert done.stdout.split() == ["True"], (seed, done.stdout, done.stderr)
+
+
+def count_blocked(monkeypatch):
+    """Count the Solver.rule_union calls that end in _Blocked: evaluations
+    abandoned to be retried."""
+    blocked = Counter()
+    original = Solver.rule_union
+
+    def counted(self, j, group):
+        try:
+            return original(self, j, group)
+        except _Blocked:
+            blocked[(j, group.fname, group.args)] += 1
+            raise
+
+    monkeypatch.setattr(Solver, "rule_union", counted)
+    return blocked
+
+
+# the evaluations the tree-walking solver abandoned on these cases
+ABANDONED = {"parity-e-01": 805, "expab-2": 285}
+
+
+@pytest.mark.parametrize("case", list(ABANDONED))
+def test_reads_of_new_groups_catch_up_without_abandoning(case, monkeypatch):
+    # a read of a new group runs the worklist inside itself, so no
+    # evaluation is abandoned
+    blocked = count_blocked(monkeypatch)
+    DIGEST_CASES[case][0]()
+    assert sum(blocked.values()) == 0
+
+
+@pytest.mark.parametrize("case", list(ABANDONED))
+def test_abandon_and_retry_keeps_the_digest(case, monkeypatch):
+    # with no nesting allowed, every read of a new group past step 0
+    # abandons its evaluation, and the retries give the same digest
+    monkeypatch.setattr(solver_module, "CATCH_UP_DEPTH", 0)
+    blocked = count_blocked(monkeypatch)
+    run, pinned = DIGEST_CASES[case]
+    assert exactness_digest(run) == pinned
+    assert sum(blocked.values()) == ABANDONED[case]
 
 
 def test_solve_leaves_the_recursion_limit_alone():
