@@ -20,15 +20,11 @@ reverse index from each group to the groups whose last evaluation read it;
 every other group keeps its values without a visit. All due evaluations sit
 on one worklist, always taken at its lowest step. A group demanded while
 layer L runs is new: its values are unknown, so it joins the worklist at
-step 1. An evaluation at step k that reads a new group first brings it up to
-date through k-1: the read runs the worklist through step k-1 inside itself,
-and the lowest-step order then evaluates the new group and the groups it
-demands in turn, and nothing else. Past CATCH_UP_DEPTH such nested runs the
-read abandons the evaluation instead (`_Blocked`), which is re-queued at k,
-so the outer worklist does the same catch-up before the retry. A group is
-therefore evaluated at step 1 and again right after each step that
-confirmed a statement of a group it read, while it has an unconfirmed
-statement, and at no other step.
+step 1, and an evaluation at step k that must read it is abandoned
+(`_Blocked`) and re-queued at k; the lowest-step order brings the new groups
+up to date through k-1 before the retry. A group is therefore evaluated at
+step 1 and again right after each step that confirmed a statement of a group
+it read, while it has an unconfirmed statement, and at no other step.
 
 Evaluation runs compiled code (closure generation). Each rule's right-hand
 side, padded to full arity, is compiled once per solver, on its head's
@@ -39,8 +35,8 @@ the instance is built with its group, demanded there and then. Instances
 are built at their group's first evaluation, at step 1, which reads every
 group at step 0, where all values are empty; so a static call never reads
 a new group past step 0, and only nested calls, whose arguments are
-computed, can meet one. `evaluate` compiles its query terms the same way,
-with every call read through the group table.
+computed, abandon an evaluation. `evaluate` compiles its query terms the
+same way, with every call read through the group table.
 """
 
 from __future__ import annotations
@@ -73,9 +69,6 @@ from .terms import (
 from .validation import BSet, NotBasic, check, compute_B, prune_ho_constructors
 
 DEFAULT_SPACE_BUDGET = 2 ** 20
-# How many runs of the worklist may nest, each inside a read of a new group,
-# before a read of a new group abandons its evaluation instead.
-CATCH_UP_DEPTH = 8
 
 
 class NotConsFree(Exception):
@@ -325,19 +318,6 @@ Code = Callable[[int, List, set], Repr]
 
 def _arguments(codes: List[Code]) -> Callable[[int, List, set], Tuple]:
     """A code for the tuple of the codes' values."""
-    if not codes:
-        return lambda i, env, deps: ()
-    if len(codes) == 1:
-        (only,) = codes
-        return lambda i, env, deps: (only(i, env, deps),)
-    if len(codes) == 2:
-        first, second = codes
-        return lambda i, env, deps: (first(i, env, deps), second(i, env, deps))
-    if len(codes) == 3:
-        first, second, third = codes
-        return lambda i, env, deps: (
-            first(i, env, deps), second(i, env, deps), third(i, env, deps)
-        )
     return lambda i, env, deps: tuple([code(i, env, deps) for code in codes])
 
 
@@ -416,8 +396,6 @@ class Solver:
         self._confirmed = 0
         self._due: Dict[int, List[_Group]] = {}
         self._new: List[_Group] = []
-        # _nested: the runs of the worklist nested inside a read
-        self._nested = 0
 
     @property
     def confirmed_at(self) -> Dict[Stmt, int]:
@@ -523,11 +501,7 @@ class Solver:
             slot = len(slots) + len(sites)
             sites.append((head.name, _arguments(codes)))
 
-            def static(i, env, deps):
-                group = env[slot]
-                return group.value if i >= group.last else group.at(i)
-
-            return static
+            return lambda i, env, deps: env[slot].at(i)
         name = head.name
         arguments = _arguments(codes)
         read = self._read
@@ -621,22 +595,15 @@ class Solver:
 
     def _read(self, i: int, name: str, args: Tuple[Repr, ...], deps: set) -> FrozenSet:
         """The value at step i of the group `name args`, demanding it and
-        adding it to deps. A new group's values past step 0 are unknown: the
-        worklist brings it up to date through step i first, nested inside
-        this read, or past CATCH_UP_DEPTH nested runs raises _Blocked."""
+        adding it to deps. A new group's values past step 0 are unknown, so
+        reading one past step 0 raises _Blocked."""
         group = self.groups.get((name, args))
         if group is None:
             group = self._group(name, args)
         deps.add(group)
         if group.new and i:
-            if self._nested >= CATCH_UP_DEPTH:
-                raise _Blocked()
-            self._nested += 1
-            try:
-                self._run(i)
-            finally:
-                self._nested -= 1
-        return group.value if i >= group.last else group.at(i)
+            raise _Blocked()
+        return group.at(i)
 
     def _tabulate(
         self, i: int, head: FuncSym, prefix: List[Repr], deps: set
@@ -774,10 +741,9 @@ class Solver:
 
     def _run(self, last: int) -> None:
         """Join the new groups, then evaluate the due groups through step
-        last, always at the lowest due step. A run may nest inside a read
-        of a new group (see _read). An evaluation abandoned there, past
-        CATCH_UP_DEPTH nested runs, is re-queued at its own step, so the
-        lower steps bring the new group up to date before the retry."""
+        last, always at the lowest due step. An evaluation that must read a
+        new group joins it and is re-queued at its own step, so the lower
+        steps bring the new group up to date before the retry."""
         self._join()
         while self._due:
             k = min(self._due)
