@@ -284,44 +284,44 @@ def replay_trace(root: Term, steps: List[Step], atrs: Atrs) -> List[Term]:
 def validate_semi_outermost(root: Term, steps: List[Step], atrs: Atrs) -> bool:
     """Check that a trace is semi-outermost: along every spine, arguments are
     only rewritten below non-variable pattern positions before the head step,
-    and all sub-reductions have the same shape."""
-    engine = Engine(atrs)
-    replay_trace(root, steps, atrs)  # raises NonReplayableTrace when invalid
-    return _semi(root, list(steps), engine)
+    and all sub-reductions have the same shape.
 
-
-def _semi(t: Term, steps: List[Step], engine: Engine) -> bool:
-    if not steps:
-        return True
-    head = t.head
-    if not isinstance(head, FuncSym) or head.is_constructor:
-        return _semi_componentwise(t, steps, engine)
-    root_index = next((j for j, (_, p) in enumerate(steps) if p == ()), None)
-    if root_index is None:
-        return False
-    rule = engine.rules_by_name[steps[root_index][0]]
-    k = rule.arity
-    before = steps[:root_index]
-    for _, path in before:
-        if not path or path[0] >= k:
-            return False
-        pattern = rule.lhs.args[path[0]]
-        if isinstance(pattern.head, Variable) and not pattern.args:
-            return False
-    for i in range(k):
-        sub = [(name, path[1:]) for name, path in before if path[0] == i]
-        if sub and not _semi(t.args[i], sub, engine):
-            return False
-    mid = replay_trace(t, steps[: root_index + 1], engine.atrs)[-1]
-    return _semi(mid, steps[root_index + 1 :], engine)
-
-
-def _semi_componentwise(t: Term, steps: List[Step], engine: Engine) -> bool:
-    per_arg: Dict[int, List[Step]] = {}
-    for name, path in steps:
-        if not path:
-            return False
-        per_arg.setdefault(path[0], []).append((name, path[1:]))
-    return all(
-        _semi(t.args[i], sub, engine) for i, sub in sorted(per_arg.items())
-    )
+    The trace is replayed once. Each task is a position and the indices of
+    the steps below it, in order, from `start` on; its term is the one at
+    that position before its first step, which no earlier step above the
+    position has moved."""
+    terms = replay_trace(root, steps, atrs)  # raises NonReplayableTrace when invalid
+    rules = {rule.name: rule for rule in atrs.rules}
+    tasks: List[Tuple[Tuple[int, ...], List[int], int]] = [((), list(range(len(steps))), 0)]
+    while tasks:
+        path, indices, start = tasks.pop()
+        if start == len(indices):
+            continue
+        t = terms[indices[start]]
+        for i in path:
+            t = t.args[i]
+        depth = len(path)
+        # the steps below an argument: all of them under a constructor or a
+        # pair, which no step rewrites, those before the head step under a
+        # defined symbol
+        rule, end = None, len(indices)
+        if isinstance(t.head, FuncSym) and not t.head.is_constructor:
+            end = next(
+                (n for n in range(start, end) if len(steps[indices[n]][1]) == depth), None
+            )
+            if end is None:
+                return False
+            rule = rules[steps[indices[end]][0]]
+            tasks.append((path, indices, end + 1))
+        per_arg: Dict[int, List[int]] = {}
+        for j in indices[start:end]:
+            i = steps[j][1][depth]
+            if rule is not None:
+                if i >= rule.arity:
+                    return False
+                pattern = rule.lhs.args[i]
+                if isinstance(pattern.head, Variable) and not pattern.args:
+                    return False
+            per_arg.setdefault(i, []).append(j)
+        tasks += [(path + (i,), sub, 0) for i, sub in per_arg.items()]
+    return True

@@ -18,25 +18,27 @@ and each open group that read one with a statement first confirmed at L is
 due at L+1. Layer L+1 evaluates only those due groups, found through a
 reverse index from each group to the groups whose last evaluation read it;
 every other group keeps its values without a visit. All due evaluations sit
-on one worklist, always taken at its lowest step. A group demanded while
-layer L runs is new: its values are unknown, so it joins the worklist at
-step 1, and an evaluation at step k that must read it is abandoned
-(`_Blocked`) and re-queued at k; the lowest-step order brings the new groups
+on one worklist, always taken at its lowest step. One rule says whose values
+are known: a group's values are known through step i exactly when no
+evaluation of it is due at a step <= i. A group is due at step 1 from its
+demand, so a group demanded while an evaluation at step k runs is the only
+kind an evaluation can find unknown; that evaluation is abandoned
+(`_Blocked`) and re-queued at k, and the lowest-step order brings the group
 up to date through k-1 before the retry. A group is therefore evaluated at
 step 1 and again right after each step that confirmed a statement of a group
 it read, while it has an unconfirmed statement, and at no other step.
 
-Evaluation runs compiled code (closure generation). Each rule's right-hand
-side, padded to full arity, is compiled once per solver, on its head's
-first use, into a tree of closures: variables read slots of an environment
+A solver is built over a fixed data universe B, and each rule's right-hand
+side, padded to full arity, is compiled once, at construction, into a tree
+of closures (closure generation): variables read slots of an environment
 list, and data constants are prebuilt singletons. A call whose arguments
 call no defined symbol is static: a rule instance's arguments fix it, so
 the instance is built with its group, demanded there and then. Instances
 are built at their group's first evaluation, at step 1, which reads every
 group at step 0, where all values are empty; so a static call never reads
-a new group past step 0, and only nested calls, whose arguments are
-computed, abandon an evaluation. `evaluate` compiles its query terms the
-same way, with every call read through the group table.
+an unknown value, and only nested calls, whose arguments are computed,
+abandon an evaluation. `evaluate` compiles its query terms the same way,
+with every call read through the group table.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .terms import (
     FuncSym,
     PairHead,
     Product,
+    Rule,
     SimpleType,
     Sort,
     Term,
@@ -271,13 +274,12 @@ class _Group:
     instances, built on first evaluation, and `reads` the groups of their
     static call sites. `deps` are the groups its last evaluation read,
     `dependents` the groups whose evaluations read it, and `wake` the step
-    of its next evaluation, if one is due. A group with targets is `new`
-    from its demand until it joins the worklist; its values past step 0 are
-    unknown until then."""
+    of its next evaluation, if one is due: its values are known through
+    step i exactly when no evaluation of it is due at a step <= i."""
 
     __slots__ = (
         "fname", "args", "count", "confirmed", "value", "last", "plans",
-        "reads", "deps", "dependents", "wake", "new",
+        "reads", "deps", "dependents", "wake",
     )
 
     def __init__(self, fname: str, args: Tuple[Repr, ...], count: int) -> None:
@@ -292,7 +294,6 @@ class _Group:
         self.deps: FrozenSet["_Group"] = frozenset()
         self.dependents: Dict["_Group", None] = {}
         self.wake: Optional[int] = None
-        self.new = count > 0
 
     @property
     def open(self) -> bool:
@@ -306,7 +307,8 @@ class _Group:
 
 
 class _Blocked(Exception):
-    """An evaluation must read a new group past step 0."""
+    """An evaluation must read a group at a step its values are not known
+    through."""
 
 
 # A compiled term: code(i, env, deps) is the term's representation at step i,
@@ -345,7 +347,7 @@ class Solver:
     def __init__(
         self,
         atrs: Atrs,
-        B: Optional[BSet] = None,
+        B: BSet,
         space_budget: int = DEFAULT_SPACE_BUDGET,
     ):
         verdict = check(atrs)
@@ -359,43 +361,27 @@ class Solver:
                 "; ".join(str(v) for v in verdict.violations) or "not cons-free"
             )
         self.atrs = prune_ho_constructors(atrs)[0]
-        self.B = B if B is not None else BSet(frozenset())
+        self.B = B
         self.space_budget = space_budget
         self.spaces: Dict[SimpleType, object] = {}
         self.symbols = self.atrs.symbols
-        # per head: each rule's right-hand side padded to full arity, and per
-        # argument the name of a top-level variable or pad, or the pattern
-        self.rules_by_head: Dict[str, List[Tuple[Term, Tuple]]] = {}
-        for rule in self.atrs.rules:
-            head = rule.lhs.head
-            if isinstance(head, FuncSym):
-                types = arg_types(head.type)
-                pads = tuple(
-                    sym_term(Variable(f"#pad{j}", types[j]))
-                    for j in range(rule.arity, head.arity)
-                )
-                patterns = tuple(
-                    p.head.name if isinstance(p.head, Variable) else p
-                    for p in rule.lhs.args + pads
-                )
-                rhs = apply_term(rule.rhs, *pads)
-                self.rules_by_head.setdefault(head.name, []).append((rhs, patterns))
-        # per head, its rules compiled on its first plans, once B is fixed;
         # per query term, its code and variable names; per data term, its
-        # singleton
-        self._compiled: Dict[str, List[Tuple]] = {}
+        # singleton; per head, its rules compiled
         self._queries: Dict[Term, Tuple[Code, List[str]]] = {}
         self._singletons: Dict[Term, FrozenSet] = {}
+        self._compiled: Dict[str, List[Tuple]] = {}
+        for rule in self.atrs.rules:
+            if isinstance(rule.lhs.head, FuncSym):
+                compiled = self._compiled.setdefault(rule.lhs.head.name, [])
+                compiled.append(self._compile_rule(rule))
         self.groups: Dict[Tuple, _Group] = {}
         self.targets_cache: Dict[SimpleType, List] = {}
         self.step = 0
         # _demanded: statements over all groups; _confirmed: statements
-        # confirmed; _due[k]: the worklist's groups to evaluate at step k;
-        # _new: groups demanded but not yet joined
+        # confirmed; _due[k]: the worklist's groups to evaluate at step k
         self._demanded = 0
         self._confirmed = 0
         self._due: Dict[int, List[_Group]] = {}
-        self._new: List[_Group] = []
 
     @property
     def confirmed_at(self) -> Dict[Stmt, int]:
@@ -558,28 +544,32 @@ class Solver:
         ty = t.type
         return lambda env: Term(head, tuple([part(env) for part in parts]), ty)
 
-    def _compile_rules(self, fname: str) -> List[Tuple]:
-        """Per rule for fname: its code, the argument index and slot of each
-        top-level variable or pad, the argument index of each pattern with
-        the pattern, the slots by variable name, and the static call sites."""
-        compiled = []
-        for rhs, patterns in self.rules_by_head.get(fname, ()):
-            slots: Dict[str, int] = {}
-            tops: List[Tuple[int, int]] = []
-            matched: List[Tuple[int, Term]] = []
-            for j, pattern in enumerate(patterns):
-                if isinstance(pattern, str):
-                    tops.append((j, slots.setdefault(pattern, len(slots))))
-                    continue
-                for name in sorted(v.name for v in variables(pattern)):
-                    slots.setdefault(name, len(slots))
-                matched.append((j, pattern))
-            for name in sorted(v.name for v in variables(rhs)):
+    def _compile_rule(self, rule: Rule) -> Tuple:
+        """The rule's right-hand side, padded to its head's full arity, as
+        code; the argument index and slot of each top-level variable or pad;
+        the argument index of each pattern with the pattern; the slots by
+        variable name; and the static call sites."""
+        head = rule.lhs.head
+        types = arg_types(head.type)
+        pads = tuple(
+            sym_term(Variable(f"#pad{j}", types[j])) for j in range(rule.arity, head.arity)
+        )
+        slots: Dict[str, int] = {}
+        tops: List[Tuple[int, int]] = []
+        matched: List[Tuple[int, Term]] = []
+        for j, pattern in enumerate(rule.lhs.args + pads):
+            if isinstance(pattern.head, Variable):
+                tops.append((j, slots.setdefault(pattern.head.name, len(slots))))
+                continue
+            for name in sorted(v.name for v in variables(pattern)):
                 slots.setdefault(name, len(slots))
-            sites: List[Tuple[str, Callable]] = []
-            code = self._compile(rhs, slots, sites)
-            compiled.append((code, tops, matched, slots, sites))
-        return compiled
+            matched.append((j, pattern))
+        rhs = apply_term(rule.rhs, *pads)
+        for name in sorted(v.name for v in variables(rhs)):
+            slots.setdefault(name, len(slots))
+        sites: List[Tuple[str, Callable]] = []
+        code = self._compile(rhs, slots, sites)
+        return code, tops, matched, slots, sites
 
     def _query(self, t: Term) -> Tuple[Code, List[str]]:
         """The code of a query term, compiled on first use, and the names of
@@ -595,13 +585,13 @@ class Solver:
 
     def _read(self, i: int, name: str, args: Tuple[Repr, ...], deps: set) -> FrozenSet:
         """The value at step i of the group `name args`, demanding it and
-        adding it to deps. A new group's values past step 0 are unknown, so
-        reading one past step 0 raises _Blocked."""
+        adding it to deps. Reading it at a step its values are not known
+        through raises _Blocked."""
         group = self.groups.get((name, args))
         if group is None:
             group = self._group(name, args)
         deps.add(group)
-        if group.new and i:
+        if group.wake is not None and group.wake <= i:
             raise _Blocked()
         return group.at(i)
 
@@ -634,12 +624,9 @@ class Solver:
         of a member matching each constructor or pair pattern binds that
         pattern's variables to singleton data values, and the group of each
         static call site follows the variables."""
-        compiled = self._compiled.get(fname)
-        if compiled is None:
-            compiled = self._compiled[fname] = self._compile_rules(fname)
         plans = []
         reads: Dict[_Group, None] = {}
-        for code, tops, matched, slots, sites in compiled:
+        for code, tops, matched, slots, sites in self._compiled.get(fname, ()):
             env = [None] * len(slots)
             for j, slot in tops:
                 env[slot] = args[j]
@@ -683,22 +670,21 @@ class Solver:
         return frozenset(out), frozenset(deps)
 
     def _group(self, fname: str, args: Tuple[Repr, ...]) -> _Group:
-        """The group of `fname args ~> t` for every target t, demanding it."""
+        """The group of `fname args ~> t` for every target t, demanding it: a
+        group with targets is due at step 1."""
         group = self.groups.get((fname, args))
         if group is None:
             count = len(self.targets(result_type(self.symbols[fname].type)))
             group = self.groups[(fname, args)] = _Group(fname, args, count)
             self._demanded += count
-            if group.new:
-                self._new.append(group)
+            if count:
+                self._schedule(group, 1)
         return group
 
     def conf(self, i: int, stmt: Stmt) -> bool:
         """Whether the statement is confirmed at step i."""
         group = self._group(stmt.fname, stmt.args)
-        self._run(self.step)
-        while i > self.step and self._due:
-            self._layer([])
+        self._fixpoint([])
         at = group.confirmed.get(stmt.target)
         return at is not None and at <= i
 
@@ -740,11 +726,10 @@ class Solver:
     # -- the fixpoint loop ----------------------------------------------
 
     def _run(self, last: int) -> None:
-        """Join the new groups, then evaluate the due groups through step
-        last, always at the lowest due step. An evaluation that must read a
-        new group joins it and is re-queued at its own step, so the lower
-        steps bring the new group up to date before the retry."""
-        self._join()
+        """Evaluate the due groups through step last, always at the lowest due
+        step. An evaluation that must read a group demanded since it began is
+        re-queued at its own step, so the lower steps bring that group up to
+        date before the retry."""
         while self._due:
             k = min(self._due)
             if k > last:
@@ -759,19 +744,11 @@ class Solver:
                 self._evaluate(group, k)
             except _Blocked:
                 self._schedule(group, k)
-            self._join()
-
-    def _join(self) -> None:
-        """Put the new groups on the worklist, due at step 1."""
-        for group in self._new:
-            group.new = False
-            self._schedule(group, 1)
-        self._new = []
 
     def _layer(self, queries: List[Tuple[Code, List]]) -> List[Repr]:
         """Run layer L = step + 1, and evaluate the queries at L. Only the
         groups due at L are evaluated: those that read a statement confirmed
-        at L-1. Groups demanded on the way join the worklist at step 1."""
+        at L-1. Groups demanded on the way are due at step 1."""
         self.step += 1
         while True:
             self._run(self.step)
@@ -824,8 +801,7 @@ def solve(
     statement saturation (no rewriting)."""
     if not is_basic(s):
         raise NotBasic(f"{print_term(s)} is not a basic term")
-    solver = Solver(atrs, None, space_budget)
-    solver.B = compute_B(s, solver.atrs)
+    solver = Solver(atrs, compute_B(s, prune_ho_constructors(atrs)[0]), space_budget)
     head = s.head
     if head.name not in solver.symbols:
         raise NotBasic(f"{head.name} was pruned from the system")

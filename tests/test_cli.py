@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import resource
 import shutil
 import subprocess
 import sys
@@ -86,6 +87,22 @@ def test_memory_exhaustion_is_exit_2_without_a_traceback(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: out of memory\n"
+
+
+def test_free_run_out_of_memory_is_exit_2_without_a_traceback():
+    # a free run of succ over 1,200 ones outgrows a 400 MB address space;
+    # the cap is set in the child alone, and never run this input without it
+    def cap():
+        limit = 400 * 2 ** 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    text = "succ (" + "1 ; " * 1200 + "[])"
+    done = subprocess.run(
+        [sys.executable, "-m", "consfree.cli", "run", SUCC, "--term", text],
+        capture_output=True, text=True, timeout=300, env=os.environ, preexec_fn=cap,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "error: out of memory\n"
 
 
 def majority_of_ones(length):

@@ -182,6 +182,9 @@ def test_bad_trace_is_rejected(majority):
         replay_trace(s, [("r5", ())], majority)
     with pytest.raises(NonReplayableTrace):
         replay_trace(s, [("nope", ())], majority)
+    with pytest.raises(NonReplayableTrace):
+        # no rule rewrites the constructor term at 0
+        validate_semi_outermost(s, [("r1", (0,))], majority)
 
 
 def test_semi_outermost_accepts_the_two_step_successor_trace(succ_system):
@@ -204,6 +207,39 @@ def test_semi_outermost_rejects_argument_only_evaluation():
     # the argument is rewritten below a plain variable position, then the head
     assert not validate_semi_outermost(s, [("r2", (0,)), ("r1", ())], system)
     assert validate_semi_outermost(s, [("r1", ())], system)
+
+
+def test_semi_outermost_rejects_a_step_past_the_head_rule_arity():
+    system = parse_atrs(
+        "sort nat ;\ncons o : nat ;\ncons s : nat => nat ;\n"
+        "fun f : nat => nat => nat ;\nfun id : nat => nat ;\nfun g : nat => nat ;\n"
+        "rule f x -> id ;\nrule id y -> y ;\nrule g x -> s x ;\n"
+    )
+    s = term("f o (g o)", system)
+    # argument 1 lies past the one pattern of the head rule r1
+    steps = [("r3", (1,)), ("r1", ())]
+    assert print_term(replay_trace(s, steps, system)[-1]) == "id (s o)"
+    assert not validate_semi_outermost(s, steps, system)
+    assert validate_semi_outermost(s, [("r1", ()), ("r2", ()), ("r3", ())], system)
+
+
+def test_semi_outermost_rejects_a_trace_without_its_head_step():
+    system = parse_atrs(
+        "sort nat ;\ncons o : nat ;\ncons s : nat => nat ;\n"
+        "fun f : nat => nat ;\nfun g : nat => nat ;\n"
+        "rule f (s x) -> o ;\nrule g x -> s x ;\n"
+    )
+    s = term("f (g o)", system)
+    # below a constructor pattern, but the defined head is never rewritten
+    assert not validate_semi_outermost(s, [("r2", (0,))], system)
+    assert validate_semi_outermost(s, [("r2", (0,)), ("r1", ())], system)
+
+
+def test_semi_outermost_validates_a_601_step_trace(succ_system):
+    # succ over 600 ones: one head step per digit, each a level deeper
+    s = term("succ (" + "1 ; " * 600 + "[])", succ_system)
+    steps = [("r3", (1,) * k) for k in range(600)] + [("r1", (1,) * 600)]
+    assert validate_semi_outermost(s, steps, succ_system)
 
 
 def test_decide_is_three_valued():

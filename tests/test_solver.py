@@ -264,12 +264,13 @@ def test_confirmations_and_evaluations_keep_their_digest(case):
 
 
 def test_the_digest_does_not_depend_on_the_hash_seed():
+    # every digest case, in one child per seed
     script = (
-        "import sys\n"
         "import test_solver\n"
-        "run, pinned = test_solver.DIGEST_CASES['contains1-prod-10']\n"
-        "print(test_solver.exactness_digest(run) == pinned)\n"
+        "for case, (run, pinned) in test_solver.DIGEST_CASES.items():\n"
+        "    print(case, test_solver.exactness_digest(run) == pinned)\n"
     )
+    expected = [word for case in DIGEST_CASES for word in (case, "True")]
     for seed in ("1", "2"):
         env = dict(os.environ)
         env["PYTHONHASHSEED"] = seed
@@ -280,7 +281,7 @@ def test_the_digest_does_not_depend_on_the_hash_seed():
             [sys.executable, "-c", script],
             capture_output=True, text=True, env=env, timeout=120, check=True,
         )
-        assert done.stdout.split() == ["True"], (seed, done.stdout, done.stderr)
+        assert done.stdout.split() == expected, (seed, done.stdout, done.stderr)
 
 
 def count_blocked(monkeypatch):
