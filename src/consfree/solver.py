@@ -29,21 +29,28 @@ step 1 and again right after each step that confirmed a statement of a group
 it read, while it has an unconfirmed statement, and at no other step.
 
 A solver is built over a fixed data universe B, and each rule's right-hand
-side, padded to full arity, is compiled once, at construction, into a tree
-of closures (closure generation): variables read slots of an environment
-list, and data constants are prebuilt singletons. A call whose arguments
-call no defined symbol is static: a rule instance's arguments fix it, so
-the instance is built with its group, demanded there and then. Instances
-are built at their group's first evaluation, at step 1, which reads every
-group at step 0, where all values are empty; so a static call never reads
-an unknown value, and only nested calls, whose arguments are computed,
-abandon an evaluation. `evaluate` compiles its query terms the same way,
-with every call read through the group table.
+side, padded to full arity, is compiled once, at construction, in one
+recursive pass into a tree of closures (closure generation): a variable
+reads a slot of an environment list and applies it to its arguments in
+turn, a data constant is a prebuilt singleton, and a pair or constructor
+term is its head applied to each choice of argument values. Cons-freeness
+binds a constructor term's variables to single data terms, so its value
+must be one term of B. The pass also reports whether a term calls a defined
+symbol; a call whose arguments call none is static: a rule instance's
+arguments fix it, so the instance is built with its group, demanded there
+and then, and the call's closure adds that group to the evaluation's reads,
+as every other read does. Instances are built at their group's first
+evaluation, at step 1, which reads every group at step 0, where all values
+are empty; so a static call never reads an unknown value, and only nested
+calls, whose arguments are computed, abandon an evaluation. `evaluate`
+compiles its query terms the same way, with every call read through the
+group table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .terms import (
@@ -65,7 +72,6 @@ from .terms import (
     pair,
     print_term,
     result_type,
-    subterms,
     sym_term,
     variables,
 )
@@ -271,15 +277,15 @@ class _Group:
     keys and `last` the latest step among its values, so `value` is the
     group's value at every step from `last` on. The group is open while
     fewer than `count` targets are confirmed. `plans` are the rule
-    instances, built on first evaluation, and `reads` the groups of their
-    static call sites. `deps` are the groups its last evaluation read,
-    `dependents` the groups whose evaluations read it, and `wake` the step
-    of its next evaluation, if one is due: its values are known through
-    step i exactly when no evaluation of it is due at a step <= i."""
+    instances, built on first evaluation. `deps` are the groups its last
+    evaluation read, `dependents` the groups whose evaluations read it, and
+    `wake` the step of its next evaluation, if one is due: its values are
+    known through step i exactly when no evaluation of it is due at a step
+    <= i."""
 
     __slots__ = (
-        "fname", "args", "count", "confirmed", "value", "last", "plans",
-        "reads", "deps", "dependents", "wake",
+        "fname", "args", "count", "confirmed", "value", "last", "plans", "deps",
+        "dependents", "wake",
     )
 
     def __init__(self, fname: str, args: Tuple[Repr, ...], count: int) -> None:
@@ -290,7 +296,6 @@ class _Group:
         self.value: FrozenSet = frozenset()
         self.last = 0
         self.plans: Optional[List[Tuple["Code", List]]] = None
-        self.reads: Tuple["_Group", ...] = ()
         self.deps: FrozenSet["_Group"] = frozenset()
         self.dependents: Dict["_Group", None] = {}
         self.wake: Optional[int] = None
@@ -313,21 +318,14 @@ class _Blocked(Exception):
 
 # A compiled term: code(i, env, deps) is the term's representation at step i,
 # where env holds a value per variable slot and, for a rule instance, the
-# group of each static call site after them; it adds the groups it reads
-# outside env to deps, through Solver._read.
+# group of each static call site after them; it adds every group it reads
+# to deps.
 Code = Callable[[int, List, set], Repr]
 
 
 def _arguments(codes: List[Code]) -> Callable[[int, List, set], Tuple]:
     """A code for the tuple of the codes' values."""
     return lambda i, env, deps: tuple([code(i, env, deps) for code in codes])
-
-
-def _calls(t: Term) -> bool:
-    """Whether t has a subterm headed by a defined symbol."""
-    return any(
-        isinstance(s.head, FuncSym) and not s.head.is_constructor for s in subterms(t)
-    )
 
 
 @dataclass
@@ -441,108 +439,80 @@ class Solver:
 
     # -- compiling terms ------------------------------------------------
 
-    def _compile(self, t: Term, slots: Dict[str, int], sites: Optional[List]) -> Code:
+    def _compile(
+        self, t: Term, slots: Dict[str, int], sites: Optional[List]
+    ) -> Tuple[Code, bool]:
         """The code of t, whose variables read the env slots that slots
-        names. Given a sites list, a saturated call whose arguments call no
-        defined symbol is static: its arguments depend on the environment
-        alone, so it is appended to sites and reads its group from env, from
-        the slot after the variables' and the earlier sites'; plans resolves
-        it once per rule instance."""
+        names, and whether t calls a defined symbol. Given a sites list, a
+        saturated call whose arguments call no defined symbol is static: its
+        arguments depend on the environment alone, so it is appended to sites
+        and reads its group from env, from the slot after the variables' and
+        the earlier sites'; plans resolves it once per rule instance."""
         head = t.head
-        if isinstance(head, Variable):
-            return self._compile_variable(
-                head.name, slots[head.name], [self._compile(a, slots, sites) for a in t.args]
-            )
         if t.is_data:
             try:
                 value = self._singleton(t)
-            except NonBSafeTerm as exc:
-                message = str(exc)
-
-                def outside(i, env, deps):
-                    raise NonBSafeTerm(message)
-
-                return outside
-            return lambda i, env, deps: value
-        if isinstance(head, PairHead):
-            components = _arguments([self._compile(a, slots, sites) for a in t.args])
-
-            def product(i, env, deps):
-                left, right = components(i, env, deps)
-                return frozenset([pair(l, r) for l in left for r in right])
-
-            return product
-        if head.is_constructor:
-            # in a rule instance a constructor term's variables are pattern
-            # variables, bound to singletons
-            build = self._compile_build(t, slots)
-            singleton = self._singleton
-            return lambda i, env, deps: singleton(build(env))
-        codes = [self._compile(a, slots, sites) for a in t.args]
-        if isinstance(t.type, Arrow):
-            prefix = _arguments(codes)
-            tabulate = self._tabulate
-            return lambda i, env, deps: tabulate(i, head, list(prefix(i, env, deps)), deps)
-        if sites is not None and not any(_calls(a) for a in t.args):
-            slot = len(slots) + len(sites)
-            sites.append((head.name, _arguments(codes)))
-
-            return lambda i, env, deps: env[slot].at(i)
-        name = head.name
-        arguments = _arguments(codes)
-        read = self._read
-        return lambda i, env, deps: read(i, name, arguments(i, env, deps), deps)
-
-    def _compile_variable(self, name: str, slot: int, codes: List[Code]) -> Code:
-        def unbound():
-            return UnboundVariable(f"variable {name} is not bound")
-
-        if not codes:
+                return (lambda i, env, deps: value), False
+            except NonBSafeTerm:
+                pass  # compiled below, to raise when evaluated
+        compiled = [self._compile(a, slots, sites) for a in t.args]
+        codes = [code for code, _ in compiled]
+        calls = any(called for _, called in compiled)
+        if isinstance(head, Variable):
+            name, slot = head.name, slots[head.name]
 
             def variable(i, env, deps):
                 value = env[slot]
                 if value is None:
-                    raise unbound()
+                    raise UnboundVariable(f"variable {name} is not bound")
+                for code in codes:
+                    value = value.apply(code(i, env, deps))
                 return value
 
-            return variable
+            return variable, calls
+        if isinstance(head, PairHead) or head.is_constructor:
+            return self._compile_data(t, codes), calls
+        if isinstance(t.type, Arrow):
+            prefix = _arguments(codes)
+            tabulate = self._tabulate
+            return (
+                lambda i, env, deps: tabulate(i, head, list(prefix(i, env, deps)), deps)
+            ), True
+        if sites is not None and not calls:
+            slot = len(slots) + len(sites)
+            sites.append((head.name, _arguments(codes)))
+
+            def static(i, env, deps):
+                group = env[slot]
+                deps.add(group)
+                return group.at(i)
+
+            return static, True
+        name = head.name
         arguments = _arguments(codes)
+        read = self._read
+        return (lambda i, env, deps: read(i, name, arguments(i, env, deps), deps)), True
 
-        def application(i, env, deps):
-            value = env[slot]
-            if value is None:
-                raise unbound()
-            for arg in arguments(i, env, deps):
-                value = value.apply(arg)
-            return value
-
-        return application
-
-    def _compile_build(self, t: Term, slots: Dict[str, int]) -> Callable[[List], Term]:
-        """A function from env to the data term that t, a constructor or pair
-        term over variables bound to singletons, denotes."""
-        if t.is_data:
-            return lambda env: t
-        head = t.head
-        if isinstance(head, Variable):
-            slot = slots[head.name]
-
-            def member(env):
-                try:
-                    (only,) = env[slot]
-                except (TypeError, ValueError):
-                    raise NonBSafeTerm(
-                        f"{print_term(t)} does not denote one data term"
-                    ) from None
-                return only
-
-            return member
-        parts = [self._compile_build(a, slots) for a in t.args]
+    def _compile_data(self, t: Term, codes: List[Code]) -> Code:
+        """The code of a pair or constructor term t that is not a constant of
+        B: its head applied to each choice of argument values. A constructor
+        term's value must be one data term of B; in a rule instance its
+        variables are bound to singletons."""
+        head, ty = t.head, t.type
+        arguments = _arguments(codes)
         if isinstance(head, PairHead):
-            left, right = parts
-            return lambda env: pair(left(env), right(env))
-        ty = t.type
-        return lambda env: Term(head, tuple([part(env) for part in parts]), ty)
+            return lambda i, env, deps: frozenset(
+                [pair(left, right) for left, right in product(*arguments(i, env, deps))]
+            )
+        singleton = self._singleton
+
+        def build(i, env, deps):
+            built = [Term(head, args, ty) for args in product(*arguments(i, env, deps))]
+            if len(built) != 1:
+                raise NonBSafeTerm(f"{print_term(t)} does not denote one data term")
+            return singleton(built[0])
+
+        return build
 
     def _compile_rule(self, rule: Rule) -> Tuple:
         """The rule's right-hand side, padded to its head's full arity, as
@@ -568,7 +538,7 @@ class Solver:
         for name in sorted(v.name for v in variables(rhs)):
             slots.setdefault(name, len(slots))
         sites: List[Tuple[str, Callable]] = []
-        code = self._compile(rhs, slots, sites)
+        code, _ = self._compile(rhs, slots, sites)
         return code, tops, matched, slots, sites
 
     def _query(self, t: Term) -> Tuple[Code, List[str]]:
@@ -578,7 +548,7 @@ class Solver:
         if found is None:
             names = sorted({v.name for v in variables(t)})
             slots = {name: k for k, name in enumerate(names)}
-            found = self._queries[t] = (self._compile(t, slots, None), names)
+            found = self._queries[t] = (self._compile(t, slots, None)[0], names)
         return found
 
     # -- evaluation -----------------------------------------------------
@@ -616,16 +586,15 @@ class Solver:
 
     # -- statements -----------------------------------------------------
 
-    def plans(self, fname: str, args: Tuple[Repr, ...]) -> Tuple[List, Tuple]:
-        """The rule instances for `fname args`, and the groups their static
-        call sites read, demanding them. An instance is a rule's code, shared
-        by its instances, with an env: top-level variables and pads are
-        bound to their arguments' representations, one instance per choice
-        of a member matching each constructor or pair pattern binds that
+    def plans(self, fname: str, args: Tuple[Repr, ...]) -> List:
+        """The rule instances for `fname args`, demanding the groups of their
+        static call sites. An instance is a rule's code, shared by its
+        instances, with an env: top-level variables and pads are bound to
+        their arguments' representations, one instance per choice of a
+        member matching each constructor or pair pattern binds that
         pattern's variables to singleton data values, and the group of each
         static call site follows the variables."""
         plans = []
-        reads: Dict[_Group, None] = {}
         for code, tops, matched, slots, sites in self._compiled.get(fname, ()):
             env = [None] * len(slots)
             for j, slot in tops:
@@ -649,21 +618,16 @@ class Solver:
                 envs = extended
             for env in envs:
                 for name, arguments in sites:
-                    key = (name, arguments(0, env, None))
-                    group = self.groups.get(key)
-                    if group is None:
-                        group = self._group(*key)
-                    env.append(group)
-                    reads[group] = None
+                    env.append(self._group(name, arguments(0, env, None)))
                 plans.append((code, env))
-        return plans, tuple(reads)
+        return plans
 
     def rule_union(self, j: int, group: _Group):
         """Everything any rule instance for the group's call can produce at
         step j, and the groups read to find it."""
         if group.plans is None:
-            group.plans, group.reads = self.plans(group.fname, group.args)
-        deps = set(group.reads)
+            group.plans = self.plans(group.fname, group.args)
+        deps: set = set()
         out: set = set()
         for code, env in group.plans:
             out |= code(j - 1, env, deps)
@@ -745,26 +709,24 @@ class Solver:
             except _Blocked:
                 self._schedule(group, k)
 
-    def _layer(self, queries: List[Tuple[Code, List]]) -> List[Repr]:
-        """Run layer L = step + 1, and evaluate the queries at L. Only the
-        groups due at L are evaluated: those that read a statement confirmed
-        at L-1. Groups demanded on the way are due at step 1."""
-        self.step += 1
-        while True:
-            self._run(self.step)
-            try:
-                return [code(self.step, env, set()) for code, env in queries]
-            except _Blocked:
-                continue
-
     def _fixpoint(self, queries: List[Tuple[Code, List]]) -> List[Repr]:
         """Run layers until one confirms and demands nothing new and the
-        queries' values repeat; returns those values."""
+        queries' values repeat; returns those values. Layer L = step + 1
+        evaluates only the groups due at L, those that read a statement
+        confirmed at L-1 and those demanded on the way (due at step 1), and
+        then the queries at L."""
         previous: Optional[List[Repr]] = None
         rounds = 0
         while True:
             before = (self._confirmed, self._demanded)
-            values = self._layer(queries)
+            self.step += 1
+            values = None
+            while values is None:
+                self._run(self.step)
+                try:
+                    values = [code(self.step, env, set()) for code, env in queries]
+                except _Blocked:
+                    pass
             stable = (self._confirmed, self._demanded) == before
             if stable and (not queries or values == previous):
                 return values

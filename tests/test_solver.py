@@ -14,17 +14,19 @@ from consfree.compiler import compile_tm
 from consfree.engine import Budget, search_data_normal_forms
 from consfree.modules import module_selftest, parse_module_expr
 from consfree.solver import (
+    NonBSafeTerm,
     NotConsFree,
     ReprSpaceTooLarge,
     Solver,
     Stmt,
+    UnboundVariable,
     _Blocked,
     build_space,
     within_cardinality_bound,
     repr_cardinality,
     solve,
 )
-from consfree.syntax import encode_input, parse_atrs, parse_tm
+from consfree.syntax import encode_input, parse_atrs, parse_term, parse_tm
 from consfree.terms import Arrow, PairHead, Product, Sort, pair, print_term, sym_term
 from consfree.tm import simulate_tm
 from consfree.validation import BSet, NotBasic, compute_B, prune_ho_constructors
@@ -44,6 +46,17 @@ SATURATING = [
     ("ho_apply.atrs", "decide (1 ; [])"),
     ("consfree_fsucc.atrs", "main (s (s o)) (s (s o))"),
 ]
+
+
+NESTED_PRODUCTS = (
+    "pairing ;\nsort symb list ;\ncons 0 : symb ;\ncons 1 : symb ;\n"
+    "cons [] : list ;\ncons cons : symb => list => list ;\n"
+    "fun g : list => symb * (symb * symb) ;\n"
+    "fun f : symb * (symb * symb) => symb ;\nfun start : list => symb ;\n"
+    "rule g (c ; cs) -> (c , (0 , c)) ;\n"
+    "rule f (x , (y , z)) -> y ;\nrule f (x , p) -> x ;\n"
+    "rule start cs -> f (g cs) ;\n"
+)
 
 
 @pytest.mark.parametrize("name,text", SATURATING)
@@ -91,6 +104,29 @@ def test_pruned_system_solves_like_the_unpruned_one():
     for text in basics:
         s = term(text, atrs)
         assert solve(atrs, s).normal_forms == solve(pruned, s).normal_forms
+
+
+def test_evaluate_rejects_unbound_variables_and_terms_outside_the_universe(majority):
+    s = term("majority (1 ; 0 ; [])", majority)
+    solver = Solver(majority, compute_B(s, majority))
+    symb, listed = Sort("symb"), Sort("list")
+    zero, one = term("0", majority), term("1", majority)
+    x_nil = parse_term("x ; []", majority, {"x": symb})
+    with pytest.raises(UnboundVariable):
+        solver.evaluate([(parse_term("cmp xs ys", majority, {"xs": listed, "ys": listed}),
+                          {"xs": frozenset({term("[]", majority)})})])
+    # a constructor term over an unbound variable is unbound, not outside B
+    with pytest.raises(UnboundVariable):
+        solver.evaluate([(x_nil, {})])
+    with pytest.raises(NonBSafeTerm):
+        solver.evaluate([(term("1 ; 1 ; []", majority), {})])
+    # 1 ; [] is not a data subterm of the start term or of a right-hand side
+    with pytest.raises(NonBSafeTerm):
+        solver.evaluate([(x_nil, {"x": frozenset({one})})])
+    # both members lie in B, but a constructor term denotes one data term
+    B = BSet(compute_B(s, majority).terms | {term("1 ; []", majority)})
+    with pytest.raises(NonBSafeTerm):
+        Solver(majority, B).evaluate([(x_nil, {"x": frozenset({zero, one})})])
 
 
 def counts(result):
@@ -175,12 +211,16 @@ def canonical(value):
     return [canonical(entry) for entry in value.table]
 
 
-def solving(name, text):
+def solving_text(text, start):
     def run():
-        atrs = load(name)
-        solve(atrs, term(text, atrs))
+        atrs = parse_atrs(text)
+        solve(atrs, term(start, atrs))
 
     return run
+
+
+def solving(name, start):
+    return solving_text(corpus_text(name), start)
 
 
 def deciding(machine, module, x):
@@ -196,7 +236,8 @@ def selftesting(expr, n):
 
 
 # the exactness gate's cases and their pins: confirmations, evaluations and
-# the digest of both, as the tree-walking solver computed them
+# the digest of both, as the tree-walking solver computed them (the first
+# ten) and the first closure-compiled solver (the rest)
 DIGEST_CASES = {
     "majority": (solving("majority.atrs", "majority (1 ; 0 ; [])"), (6, 11, "3f26a54cb1f743bc")),
     "parity-e-01": (deciding("parity.tm", "e", "01"), (1244, 3904, "0df41bef7439ed88")),
@@ -217,6 +258,18 @@ DIGEST_CASES = {
         solving("consfree_fsucc.atrs", "main (s (s o)) (s (s o))"),
         (58, 143, "1dc447363ff6c3c7"),
     ),
+    "majority-0111": (
+        solving("majority.atrs", "majority (0 ; 1 ; 1 ; [])"),
+        (7, 13, "f3e4b212adf0a2c6"),
+    ),
+    "contains1": (solving("contains1.atrs", "decide (0 ; 1 ; [])"), (2, 3, "c02a914a18631320")),
+    "parity1s": (solving("parity1s.atrs", "decide (1 ; 1 ; 1 ; [])"), (5, 9, "7c945d27a3ad6d95")),
+    "allzeros": (solving("allzeros.atrs", "decide (0 ; 0 ; [])"), (3, 5, "6eadd4885feaff4d")),
+    "evenlen": (solving("evenlen.atrs", "decide (1 ; 0 ; 1 ; [])"), (4, 7, "92f0059fcdc34ffe")),
+    "firstis1": (solving("firstis1.atrs", "decide (0 ; 1 ; [])"), (1, 1, "51982eff506365c9")),
+    "lastis1": (solving("lastis1.atrs", "decide (1 ; 0 ; [])"), (3, 5, "a039008809f1afd2")),
+    "ho_apply-nil": (solving("ho_apply.atrs", "decide []"), (3, 6, "e8535981df00c1cc")),
+    "nested-products": (solving_text(NESTED_PRODUCTS, "start (1 ; [])"), (5, 5, "955155dd3fe2531a")),
 }
 
 
@@ -303,7 +356,7 @@ def count_blocked(monkeypatch):
 
 # the evaluations abandoned on these cases, each by a nested call site's
 # read of a new group; the tree-walking solver abandoned as many
-ABANDONED = {"parity-e-01": 805, "expab-2": 285}
+ABANDONED = {"parity-e-01": 805, "expab-2": 285, "contains1-prod-11": 1164}
 
 
 @pytest.mark.parametrize("case", list(ABANDONED))
@@ -361,17 +414,6 @@ def test_solve_product_on_a_projection():
     result = solve(atrs, s)
     assert {print_term(t) for t in result.normal_forms} == {"0"}
     assert set(result.normal_forms) == set(oracle.data_normal_forms)
-
-
-NESTED_PRODUCTS = (
-    "pairing ;\nsort symb list ;\ncons 0 : symb ;\ncons 1 : symb ;\n"
-    "cons [] : list ;\ncons cons : symb => list => list ;\n"
-    "fun g : list => symb * (symb * symb) ;\n"
-    "fun f : symb * (symb * symb) => symb ;\nfun start : list => symb ;\n"
-    "rule g (c ; cs) -> (c , (0 , c)) ;\n"
-    "rule f (x , (y , z)) -> y ;\nrule f (x , p) -> x ;\n"
-    "rule start cs -> f (g cs) ;\n"
-)
 
 
 def test_product_universes_are_pair_terms_in_lexicographic_order():

@@ -1,7 +1,16 @@
-"""The benchmark's tracer finds every library function it wraps: a deleted or
-renamed function would leave its per-layer metrics null in a traced run."""
+"""The benchmark's traced runs: the tracer finds every library function it
+wraps, since a deleted or renamed function would leave its per-layer metrics
+null, and each workload's traced run ends in a strict-JSON result."""
+
+import json
+import subprocess
+import sys
+
+import pytest
 
 from conftest import TESTS
+
+RUN = TESTS.parent / "perfbench" / "run.py"
 
 
 def test_every_traced_function_exists(monkeypatch):
@@ -15,3 +24,20 @@ def test_every_traced_function_exists(monkeypatch):
     tracer.uninstall()
     values = run.layer_values(tracer)
     assert [name for name, value in values.items() if value is None] == []
+
+
+def reject(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+@pytest.mark.parametrize("workload", ["tm_decide", "selftest", "sat_search"])
+def test_traced_run_ends_in_a_correct_result(workload):
+    done = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "701", "--trace", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line for line in lines if " absent " in line or line.startswith("MISMATCH")] == []
+    result = json.loads(lines[-1], parse_constant=reject)
+    assert result["correct"] is True and result["failed"] == 0
