@@ -666,14 +666,14 @@ class SelfTestReport:
 def module_selftest(expr, n: int, space_budget: int = 2 ** 20) -> SelfTestReport:
     """Check a module's counting behavior on input length n, evaluating its
     symbols over representation spaces (immune to rewriting loops)."""
-    from .solver import Solver
+    from .solver import Solver, solvable
 
     if n < 1:
         raise ModuleError("self-test needs an input of length at least 1")
     inst, atrs = module_atrs(expr)
     cs = encode_input("1" * n, atrs)
     B = data_universe([cs], atrs)
-    solver = Solver(atrs, B, space_budget)
+    solver = Solver(solvable(atrs), B, space_budget)
     a = inst.width
     xs = [Variable(f"x{i}", inst.types[i - 1]) for i in range(1, a + 1)]
     xterms = [sym_term(x) for x in xs]

@@ -18,24 +18,29 @@ and each open group that read one with a statement first confirmed at L is
 due at L+1. Layer L+1 evaluates only those due groups, found through a
 reverse index from each group to the groups whose last evaluation read it;
 every other group keeps its values without a visit. All due evaluations sit
-on one worklist, always taken at its lowest step. One rule says whose values
-are known: a group's values are known through step i exactly when no
+on one worklist, a list of per-step buckets with a low-water mark below which
+every bucket is empty, always taken at its lowest step. One rule says whose
+values are known: a group's values are known through step i exactly when no
 evaluation of it is due at a step <= i. A group is due at step 1 from its
 demand, so a group demanded while an evaluation at step k runs is the only
 kind an evaluation can find unknown; that evaluation is abandoned
 (`_Blocked`) and re-queued at k, and the lowest-step order brings the group
 up to date through k-1 before the retry. A group is therefore evaluated at
 step 1 and again right after each step that confirmed a statement of a group
-it read, while it has an unconfirmed statement, and at no other step.
+it read, while it has an unconfirmed statement, and at no other step, so at
+strictly increasing steps; each evaluation that confirms a statement stores
+a (step, value) snapshot, so the group's value at any step is stored.
 
 A solver is built over a fixed data universe B, and each rule's right-hand
 side, padded to full arity, is compiled once, at construction, in one
-recursive pass into a tree of closures (closure generation): a variable
-reads a slot of an environment list and applies it to its arguments in
-turn, a data constant is a prebuilt singleton, and a pair or constructor
-term is its head applied to each choice of argument values. Cons-freeness
-binds a constructor term's variables to single data terms, so its value
-must be one term of B. The pass also reports whether a term calls a defined
+recursive pass into a tree of closures (closure generation), one per node.
+Env slot j holds a rule instance's argument j, its patterns' variables
+follow; a variable reads its slot and applies it to its arguments in turn,
+a data constant is a prebuilt singleton, a call builds its argument tuple
+in a loop and reads its group, and a pair or constructor term is its head
+applied to each choice of argument values. Cons-freeness binds a
+constructor term's variables to single data terms, so its value must be
+one term of B. The pass also reports whether a term calls a defined
 symbol; a call whose arguments call none is static: a rule instance's
 arguments fix it, so the instance is built with its group, demanded there
 and then, and the call's closure adds that group to the evaluation's reads,
@@ -272,19 +277,20 @@ class Stmt:
 
 class _Group:
     """The statements `fname args ~> t` for each of its `count` targets t.
-    `confirmed` maps each confirmed target to the step that first confirmed
-    it and is the only record of confirmations; `value` is the set of its
-    keys and `last` the latest step among its values, so `value` is the
-    group's value at every step from `last` on. The group is open while
-    fewer than `count` targets are confirmed. `plans` are the rule
-    instances, built on first evaluation. `deps` are the groups its last
-    evaluation read, `dependents` the groups whose evaluations read it, and
-    `wake` the step of its next evaluation, if one is due: its values are
-    known through step i exactly when no evaluation of it is due at a step
-    <= i."""
+    `history` holds a (step, value) snapshot for each evaluation that
+    confirmed a target, at strictly increasing steps, and is the only record
+    of confirmations: the group's value at step i is that of the last
+    snapshot at a step <= i. `value` and `last` are the latest snapshot's,
+    so `value` is the group's value at every step from `last` on. The group
+    is open while fewer than `count` targets are confirmed. `plans` are the
+    rule instances, built on first evaluation. `deps` are the groups its
+    last evaluation read, `dependents` the groups whose evaluations read it,
+    and `wake` the step of its next evaluation, if one is due: its values
+    are known through step i exactly when no evaluation of it is due at a
+    step <= i."""
 
     __slots__ = (
-        "fname", "args", "count", "confirmed", "value", "last", "plans", "deps",
+        "fname", "args", "count", "history", "value", "last", "plans", "deps",
         "dependents", "wake",
     )
 
@@ -292,23 +298,28 @@ class _Group:
         self.fname = fname
         self.args = args
         self.count = count
-        self.confirmed: Dict[Term, int] = {}
+        self.history: List[Tuple[int, FrozenSet]] = []
         self.value: FrozenSet = frozenset()
         self.last = 0
         self.plans: Optional[List[Tuple["Code", List]]] = None
-        self.deps: FrozenSet["_Group"] = frozenset()
+        self.deps: set = set()
         self.dependents: Dict["_Group", None] = {}
         self.wake: Optional[int] = None
 
     @property
     def open(self) -> bool:
-        return len(self.confirmed) < self.count
+        return len(self.value) < self.count
 
     def at(self, i: int) -> FrozenSet:
         """The group's value at step i."""
         if i >= self.last:
             return self.value
-        return frozenset(target for target, at in self.confirmed.items() if at <= i)
+        value = frozenset()
+        for step, snapshot in self.history:
+            if step > i:
+                break
+            value = snapshot
+        return value
 
 
 class _Blocked(Exception):
@@ -317,15 +328,10 @@ class _Blocked(Exception):
 
 
 # A compiled term: code(i, env, deps) is the term's representation at step i,
-# where env holds a value per variable slot and, for a rule instance, the
-# group of each static call site after them; it adds every group it reads
-# to deps.
+# where env holds a rule instance's arguments, its matched patterns'
+# variables and the group of each static call site, or a query's variables;
+# it adds every group it reads to deps.
 Code = Callable[[int, List, set], Repr]
-
-
-def _arguments(codes: List[Code]) -> Callable[[int, List, set], Tuple]:
-    """A code for the tuple of the codes' values."""
-    return lambda i, env, deps: tuple([code(i, env, deps) for code in codes])
 
 
 @dataclass
@@ -348,17 +354,9 @@ class Solver:
         B: BSet,
         space_budget: int = DEFAULT_SPACE_BUDGET,
     ):
-        verdict = check(atrs)
-        if atrs.pairing:
-            if not verdict.product_cons_free:
-                raise NotProductConsFree(
-                    "; ".join(str(v) for v in verdict.violations) or "not product-cons-free"
-                )
-        elif not verdict.cons_free:
-            raise NotConsFree(
-                "; ".join(str(v) for v in verdict.violations) or "not cons-free"
-            )
-        self.atrs = prune_ho_constructors(atrs)[0]
+        """A solver for atrs, a system as `solvable` returns it, over the data
+        universe B."""
+        self.atrs = atrs
         self.B = B
         self.space_budget = space_budget
         self.spaces: Dict[SimpleType, object] = {}
@@ -376,19 +374,24 @@ class Solver:
         self.targets_cache: Dict[SimpleType, List] = {}
         self.step = 0
         # _demanded: statements over all groups; _confirmed: statements
-        # confirmed; _due[k]: the worklist's groups to evaluate at step k
+        # confirmed; _due[k]: the worklist's groups to evaluate at step k, for
+        # each k through step + 1, the highest step a schedule names, and
+        # none of them below _low
         self._demanded = 0
         self._confirmed = 0
-        self._due: Dict[int, List[_Group]] = {}
+        self._due: List[List[_Group]] = [[], []]
+        self._low = 1
 
     @property
     def confirmed_at(self) -> Dict[Stmt, int]:
         """Every confirmed statement and the step that first confirmed it,
-        built from the groups on each access."""
+        built from the groups' histories on each access: the earliest
+        snapshot that holds a target is written last."""
         return {
             Stmt(group.fname, group.args, target): at
             for group in self.groups.values()
-            for target, at in group.confirmed.items()
+            for at, value in reversed(group.history)
+            for target in value
         }
 
     # -- spaces and targets ---------------------------------------------
@@ -469,29 +472,35 @@ class Solver:
                     value = value.apply(code(i, env, deps))
                 return value
 
-            return variable, calls
+            def lookup(i, env, deps):
+                value = env[slot]
+                if value is None:
+                    raise UnboundVariable(f"variable {name} is not bound")
+                return value
+
+            return (variable if codes else lookup), calls
         if isinstance(head, PairHead) or head.is_constructor:
             return self._compile_data(t, codes), calls
-        if isinstance(t.type, Arrow):
-            prefix = _arguments(codes)
-            tabulate = self._tabulate
-            return (
-                lambda i, env, deps: tabulate(i, head, list(prefix(i, env, deps)), deps)
-            ), True
-        if sites is not None and not calls:
+        if sites is not None and not calls and not isinstance(t.type, Arrow):
             slot = len(slots) + len(sites)
-            sites.append((head.name, _arguments(codes)))
+            sites.append((head.name, codes))
 
             def static(i, env, deps):
                 group = env[slot]
                 deps.add(group)
-                return group.at(i)
+                return group.value if i >= group.last else group.at(i)
 
             return static, True
         name = head.name
-        arguments = _arguments(codes)
-        read = self._read
-        return (lambda i, env, deps: read(i, name, arguments(i, env, deps), deps)), True
+        read = self._tabulate if isinstance(t.type, Arrow) else self._read
+
+        def call(i, env, deps):
+            args = []
+            for code in codes:
+                args.append(code(i, env, deps))
+            return read(i, name, tuple(args), deps)
+
+        return call, True
 
     def _compile_data(self, t: Term, codes: List[Code]) -> Code:
         """The code of a pair or constructor term t that is not a constant of
@@ -499,15 +508,14 @@ class Solver:
         term's value must be one data term of B; in a rule instance its
         variables are bound to singletons."""
         head, ty = t.head, t.type
-        arguments = _arguments(codes)
         if isinstance(head, PairHead):
             return lambda i, env, deps: frozenset(
-                [pair(left, right) for left, right in product(*arguments(i, env, deps))]
+                [pair(left, right) for left, right in product(*[c(i, env, deps) for c in codes])]
             )
         singleton = self._singleton
 
         def build(i, env, deps):
-            built = [Term(head, args, ty) for args in product(*arguments(i, env, deps))]
+            built = [Term(head, args, ty) for args in product(*[c(i, env, deps) for c in codes])]
             if len(built) != 1:
                 raise NonBSafeTerm(f"{print_term(t)} does not denote one data term")
             return singleton(built[0])
@@ -516,30 +524,32 @@ class Solver:
 
     def _compile_rule(self, rule: Rule) -> Tuple:
         """The rule's right-hand side, padded to its head's full arity, as
-        code; the argument index and slot of each top-level variable or pad;
-        the argument index of each pattern with the pattern; the slots by
-        variable name; and the static call sites."""
+        code; its constructor and pair patterns with their argument indices,
+        ground ones first; the slots by variable name; and the static call
+        sites. Slot j holds argument j, under a top-level variable's or pad's
+        name or, for a pattern, a placeholder, and the patterns' variables
+        follow."""
         head = rule.lhs.head
         types = arg_types(head.type)
         pads = tuple(
             sym_term(Variable(f"#pad{j}", types[j])) for j in range(rule.arity, head.arity)
         )
         slots: Dict[str, int] = {}
-        tops: List[Tuple[int, int]] = []
         matched: List[Tuple[int, Term]] = []
         for j, pattern in enumerate(rule.lhs.args + pads):
             if isinstance(pattern.head, Variable):
-                tops.append((j, slots.setdefault(pattern.head.name, len(slots))))
-                continue
-            for name in sorted(v.name for v in variables(pattern)):
-                slots.setdefault(name, len(slots))
-            matched.append((j, pattern))
-        rhs = apply_term(rule.rhs, *pads)
-        for name in sorted(v.name for v in variables(rhs)):
-            slots.setdefault(name, len(slots))
-        sites: List[Tuple[str, Callable]] = []
-        code, _ = self._compile(rhs, slots, sites)
-        return code, tops, matched, slots, sites
+                slots[pattern.head.name] = j
+            else:
+                slots[f"#arg{j}"] = j
+                matched.append((j, pattern))
+        for _, pattern in matched:
+            if not pattern.is_data:
+                for name in sorted(v.name for v in variables(pattern)):
+                    slots[name] = len(slots)
+        matched.sort(key=lambda m: not m[1].is_data)
+        sites: List[Tuple[str, List[Code]]] = []
+        code, _ = self._compile(apply_term(rule.rhs, *pads), slots, sites)
+        return code, matched, slots, sites
 
     def _query(self, t: Term) -> Tuple[Code, List[str]]:
         """The code of a query term, compiled on first use, and the names of
@@ -563,11 +573,11 @@ class Solver:
         deps.add(group)
         if group.wake is not None and group.wake <= i:
             raise _Blocked()
-        return group.at(i)
+        return group.value if i >= group.last else group.at(i)
 
-    def _tabulate(
-        self, i: int, head: FuncSym, prefix: List[Repr], deps: set
-    ) -> FnRepr:
+    def _tabulate(self, i: int, name: str, prefix: Tuple[Repr, ...], deps: set) -> FnRepr:
+        """The table at step i of `name prefix` over its next argument."""
+        head = self.symbols[name]
         types = arg_types(head.type)
         next_ty = types[len(prefix)]
         remaining = head.type
@@ -577,11 +587,11 @@ class Solver:
         dom = self.space(next_ty)
         table = []
         for index in range(dom.card):
-            extended = prefix + [dom.elem_at(index)]
+            extended = prefix + (dom.elem_at(index),)
             if len(extended) == head.arity:
-                table.append(self._read(i, head.name, tuple(extended), deps))
+                table.append(self._read(i, name, extended, deps))
             else:
-                table.append(self._tabulate(i, head, extended, deps))
+                table.append(self._tabulate(i, name, extended, deps))
         return FnRepr(fn_space, tuple(table))
 
     # -- statements -----------------------------------------------------
@@ -589,18 +599,20 @@ class Solver:
     def plans(self, fname: str, args: Tuple[Repr, ...]) -> List:
         """The rule instances for `fname args`, demanding the groups of their
         static call sites. An instance is a rule's code, shared by its
-        instances, with an env: top-level variables and pads are bound to
-        their arguments' representations, one instance per choice of a
-        member matching each constructor or pair pattern binds that
-        pattern's variables to singleton data values, and the group of each
-        static call site follows the variables."""
+        instances, with an env: a copy of the arguments, then, one instance
+        per choice of a member matching each constructor or pair pattern,
+        that pattern's variables bound to singleton data values, then the
+        group of each static call site. A ground pattern matches exactly when
+        its argument holds it."""
         plans = []
-        for code, tops, matched, slots, sites in self._compiled.get(fname, ()):
-            env = [None] * len(slots)
-            for j, slot in tops:
-                env[slot] = args[j]
-            envs = [env]
+        for code, matched, slots, sites in self._compiled.get(fname, ()):
+            envs = [[*args, *[None] * (len(slots) - len(args))]]
             for j, pattern in matched:
+                if pattern.is_data:
+                    if pattern in args[j]:
+                        continue
+                    envs = []
+                    break
                 matches = []
                 for member in args[j]:
                     subst: Dict[Variable, Term] = {}
@@ -617,8 +629,8 @@ class Solver:
                         extended.append(bound)
                 envs = extended
             for env in envs:
-                for name, arguments in sites:
-                    env.append(self._group(name, arguments(0, env, None)))
+                for name, codes in sites:
+                    env.append(self._group(name, tuple([c(0, env, None) for c in codes])))
                 plans.append((code, env))
         return plans
 
@@ -631,7 +643,7 @@ class Solver:
         out: set = set()
         for code, env in group.plans:
             out |= code(j - 1, env, deps)
-        return frozenset(out), frozenset(deps)
+        return out, deps
 
     def _group(self, fname: str, args: Tuple[Repr, ...]) -> _Group:
         """The group of `fname args ~> t` for every target t, demanding it: a
@@ -649,12 +661,13 @@ class Solver:
         """Whether the statement is confirmed at step i."""
         group = self._group(stmt.fname, stmt.args)
         self._fixpoint([])
-        at = group.confirmed.get(stmt.target)
-        return at is not None and at <= i
+        return stmt.target in group.at(i)
 
     def _schedule(self, group: _Group, step: int) -> None:
         group.wake = step
-        self._due.setdefault(step, []).append(group)
+        self._due[step].append(group)
+        if step < self._low:
+            self._low = step
 
     def _evaluate(self, group: _Group, step: int) -> None:
         """Evaluate the group at step, reading the values at step-1."""
@@ -664,16 +677,17 @@ class Solver:
         wake = None
         for dep in deps:
             dep.dependents[group] = None
-            # a statement read as unconfirmed, but confirmed since
+            # a statement read as unconfirmed, but confirmed since, first at
+            # the first snapshot from step on
             if dep.last >= step:
-                for at in dep.confirmed.values():
-                    if at >= step and (wake is None or at < wake):
-                        wake = at
+                at = next(at for at, _ in dep.history if at >= step)
+                if wake is None or at < wake:
+                    wake = at
         fresh = union - group.value
         if fresh:
-            group.confirmed.update(dict.fromkeys(fresh, step))
-            group.value = union | group.value
-            group.last = max(group.last, step)
+            group.value = group.value | fresh
+            group.last = step
+            group.history.append((step, group.value))
             self._confirmed += len(fresh)
         if wake is not None and group.open:
             self._schedule(group, wake + 1)
@@ -694,14 +708,14 @@ class Solver:
         step. An evaluation that must read a group demanded since it began is
         re-queued at its own step, so the lower steps bring that group up to
         date before the retry."""
-        while self._due:
-            k = min(self._due)
-            if k > last:
-                return
-            bucket = self._due[k]
-            group = bucket.pop()
+        due = self._due
+        while self._low <= last:
+            k = self._low
+            bucket = due[k]
             if not bucket:
-                del self._due[k]
+                self._low = k + 1
+                continue
+            group = bucket.pop()
             if group.wake != k:
                 continue
             try:
@@ -720,6 +734,7 @@ class Solver:
         while True:
             before = (self._confirmed, self._demanded)
             self.step += 1
+            self._due.append([])
             values = None
             while values is None:
                 self._run(self.step)
@@ -754,6 +769,21 @@ class Solver:
         return self._fixpoint(compiled)
 
 
+def solvable(atrs: Atrs) -> Atrs:
+    """The system a solver runs on: atrs without its higher-order
+    constructors and the rules that mention them, once atrs itself is
+    checked to be cons-free, or product-cons-free under pairing."""
+    verdict = check(atrs)
+    if atrs.pairing:
+        if not verdict.product_cons_free:
+            raise NotProductConsFree(
+                "; ".join(str(v) for v in verdict.violations) or "not product-cons-free"
+            )
+    elif not verdict.cons_free:
+        raise NotConsFree("; ".join(str(v) for v in verdict.violations) or "not cons-free")
+    return prune_ho_constructors(atrs)[0]
+
+
 def solve(
     atrs: Atrs,
     s: Term,
@@ -763,7 +793,8 @@ def solve(
     statement saturation (no rewriting)."""
     if not is_basic(s):
         raise NotBasic(f"{print_term(s)} is not a basic term")
-    solver = Solver(atrs, compute_B(s, prune_ho_constructors(atrs)[0]), space_budget)
+    pruned = solvable(atrs)
+    solver = Solver(pruned, compute_B(s, pruned), space_budget)
     head = s.head
     if head.name not in solver.symbols:
         raise NotBasic(f"{head.name} was pruned from the system")
@@ -772,7 +803,7 @@ def solve(
     seeds = [Stmt(head.name, args, target) for target in solver.targets(res_ty)]
     steps = solver.advance_to_fixpoint(seeds)
     seed = solver.groups.get((head.name, args))
-    found = list(seed.confirmed) if seed is not None else []
+    found = list(seed.value) if seed is not None else []
     return SolveResult(
         sorted(found, key=print_term),
         steps,

@@ -366,6 +366,44 @@ def test_abandoned_evaluations_keep_their_count(case, monkeypatch):
     assert sum(blocked.values()) == ABANDONED[case]
 
 
+def last_solver(run, monkeypatch):
+    """Run a digest case and return the one solver it built."""
+    solvers = []
+    original = Solver.__init__
+
+    def recorded(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        solvers.append(self)
+
+    monkeypatch.setattr(Solver, "__init__", recorded)
+    run()
+    (solver,) = solvers
+    return solver
+
+
+@pytest.mark.parametrize("case", ["parity-e-01", "expab-2"])
+def test_group_values_at_every_step_match_confirmed_at(case, monkeypatch):
+    solver = last_solver(DIGEST_CASES[case][0], monkeypatch)
+    first = {}
+    for stmt, at in solver.confirmed_at.items():
+        first.setdefault((stmt.fname, stmt.args), []).append((stmt.target, at))
+    for key, group in solver.groups.items():
+        steps = [step for step, _ in group.history]
+        assert steps == sorted(set(steps))
+        for i in range(solver.step + 1):
+            expected = {target for target, at in first.get(key, ()) if at <= i}
+            assert group.at(i) == expected, (key, i)
+
+
+@pytest.mark.parametrize("case", ["parity-e-01", "expab-2"])
+def test_the_worklist_drains(case, monkeypatch):
+    # after solve, and after a self-test's last evaluate, no evaluation is
+    # due: a low-water mark that skipped a due step would leave its bucket
+    solver = last_solver(DIGEST_CASES[case][0], monkeypatch)
+    assert [group for group in solver.groups.values() if group.wake is not None] == []
+    assert [bucket for bucket in solver._due if bucket] == []
+
+
 def test_solve_leaves_the_recursion_limit_alone():
     # a fresh interpreter, so no earlier test has moved the limit
     script = (
