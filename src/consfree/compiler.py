@@ -20,7 +20,7 @@ from .modules import (
     signature_preamble,
     _vec,
 )
-from .syntax import _IDENT_CHARS, parse_atrs
+from .syntax import is_identifier, parse_atrs
 from .terms import Atrs, Sort
 from .tm import BLANK, ACCEPT, REJECT, TMachine
 
@@ -59,7 +59,7 @@ def _symbol_name(sym: str) -> str:
 
 
 def _check_name(name: str, what: str) -> str:
-    if not name or not set(name) <= _IDENT_CHARS:
+    if not is_identifier(name):
         raise ModuleError(f"{what} {name!r} is not a valid identifier")
     if name in _RESERVED_NAMES:
         raise ModuleError(f"{what} {name!r} collides with a generated symbol")

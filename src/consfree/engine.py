@@ -9,7 +9,6 @@ from .syntax import encode_input
 from .terms import (
     Atrs,
     FuncSym,
-    PairHead,
     Rule,
     Term,
     Variable,

@@ -707,8 +707,10 @@ class Solver:
         """Evaluate the due groups through step last, always at the lowest due
         step. An evaluation that must read a group demanded since it began is
         re-queued at its own step, so the lower steps bring that group up to
-        date before the retry."""
+        date before the retry. Each step evaluates a group once, and each
+        retry follows a new group's demand, so more evaluations are a fault."""
         due = self._due
+        evaluations = 0
         while self._low <= last:
             k = self._low
             bucket = due[k]
@@ -718,6 +720,9 @@ class Solver:
             group = bucket.pop()
             if group.wake != k:
                 continue
+            evaluations += 1
+            if evaluations > len(self.groups) * (last + 1):
+                raise AssertionError("evaluations exceeded the per-step bound")
             try:
                 self._evaluate(group, k)
             except _Blocked:
@@ -738,10 +743,13 @@ class Solver:
             values = None
             while values is None:
                 self._run(self.step)
+                known = len(self.groups)
                 try:
                     values = [code(self.step, env, set()) for code, env in queries]
                 except _Blocked:
-                    pass
+                    # nothing is due through this step but what they demanded
+                    if len(self.groups) == known:
+                        raise AssertionError("a query read a group that is not due")
             stable = (self._confirmed, self._demanded) == before
             if stable and (not queries or values == previous):
                 return values

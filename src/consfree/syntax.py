@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -14,7 +15,6 @@ from .terms import (
     Arrow,
     Atrs,
     FuncSym,
-    PairHead,
     Product,
     Rule,
     SimpleType,
@@ -23,7 +23,6 @@ from .terms import (
     TypeMismatch,
     UndeclaredSymbol,
     Variable,
-    apply_term,
     pair,
     print_term,
     sym_term,
@@ -54,9 +53,18 @@ class PairingRequired(Exception):
 
 KEYWORDS = ("sort", "cons", "fun", "var", "rule", "pairing")
 
-_IDENT_CHARS = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.#?'"
+# One alternative per token class, tried in this order at each position:
+# newline, blanks, comment, identifier, punctuation, and any other character.
+_SCAN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|(?P<comment>//[^\n]*)"
+    r"|(?P<ident>[A-Za-z0-9_.#?']+|\[\])|(?P<punct>[-=]>|[;:,()*])|(?P<other>.)"
 )
+
+
+def is_identifier(text: str) -> bool:
+    """Whether text is exactly one identifier token."""
+    found = _SCAN.fullmatch(text)
+    return found is not None and found.lastgroup == "ident"
 
 
 @dataclass
@@ -78,50 +86,26 @@ PAIR = "PAIR"
 def tokenize(text: str) -> List[Token]:
     """Split text into identifier and punctuation tokens; // starts a comment."""
     tokens: List[Token] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line_start = 0  # the offset of column 1 on this line
+    for found in _SCAN.finditer(text):
+        kind = found.lastgroup
+        if kind is None:
+            continue
+        start = found.start()
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("[]", i):
-            tokens.append(Token("ident", NIL_NAME, line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("->", i) or text.startswith("=>", i):
-            tokens.append(Token("punct", text[i : i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in ";:,()*":
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _IDENT_CHARS:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            line_start = start + 1
+        elif kind == "comment":
+            # a comment takes up no columns
+            line_start += found.end() - start
+        elif kind == "other":
+            raise ParseError(
+                f"unexpected character {found.group()!r}", line, start - line_start + 1
+            )
+        else:
+            tokens.append(Token(kind, found.group(), line, start - line_start + 1))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -174,18 +158,23 @@ def _unify(a, b) -> None:
         _unify(a.left, b.left)
         _unify(a.right, b.right)
         return
-    raise TypeMismatch(f"cannot unify {_show_type(a)} with {_show_type(b)}")
+    unknown = Sort("?")
+    raise TypeMismatch(f"cannot unify {_zonk(a, unknown)} with {_zonk(b, unknown)}")
 
 
-def _show_type(ty) -> str:
+def _zonk(ty, unknown: Optional[SimpleType] = None) -> SimpleType:
+    """The type ty with its metavariables resolved; one still unknown is
+    replaced by unknown, or is an error if that is None."""
     ty = _resolve(ty)
     if isinstance(ty, _MetaVar):
-        return "?"
+        if unknown is None:
+            raise AmbiguousVariableType("a type is not determined by its occurrences")
+        return unknown
     if isinstance(ty, Arrow):
-        return f"{_show_type(ty.arg)} => {_show_type(ty.res)}"
+        return Arrow(_zonk(ty.arg, unknown), _zonk(ty.res, unknown))
     if isinstance(ty, Product):
-        return f"{_show_type(ty.left)} * {_show_type(ty.right)}"
-    return str(ty)
+        return Product(_zonk(ty.left, unknown), _zonk(ty.right, unknown))
+    return ty
 
 
 class _Parser:
@@ -310,13 +299,19 @@ def _run_code(code: list, leaf, app, pair_of):
     return stack[0]
 
 
-def _app_type(fn_ty, arg_ty) -> _MetaVar:
-    res = _MetaVar()
+def _app_type(fn_ty, arg_ty):
+    """The result type of applying fn_ty to arg_ty. A known arrow is
+    checked directly; only an unknown function type needs a metavariable."""
+    fn_ty = _resolve(fn_ty)
     try:
+        if isinstance(fn_ty, Arrow):
+            _unify(fn_ty.arg, arg_ty)
+            return fn_ty.res
+        res = _MetaVar()
         _unify(fn_ty, Arrow(arg_ty, res))
+        return res
     except TypeMismatch as exc:
         raise TypeMismatch(f"in application: {exc}") from exc
-    return res
 
 
 def _infer(code: list, symbols: Dict[str, FuncSym], env: Dict[str, object]):
@@ -326,30 +321,26 @@ def _infer(code: list, symbols: Dict[str, FuncSym], env: Dict[str, object]):
     return _run_code(code, leaf, _app_type, Product)
 
 
-def _zonk(ty) -> SimpleType:
-    ty = _resolve(ty)
-    if isinstance(ty, _MetaVar):
-        raise AmbiguousVariableType("a type is not determined by its occurrences")
-    if isinstance(ty, Arrow):
-        return Arrow(_zonk(ty.arg), _zonk(ty.res))
-    if isinstance(ty, Product):
-        return Product(_zonk(ty.left), _zonk(ty.right))
-    return ty
-
-
 def _build(code: list, symbols: Dict[str, FuncSym], env: Dict[str, object]) -> Term:
+    """Build the term of code, whose types _infer has already checked."""
+
     def leaf(tok: Token) -> Term:
         if tok.text not in env:
-            return sym_term(symbols[tok.text])
+            sym = symbols[tok.text]
+            return Term(sym, (), sym.type)
         try:
-            return sym_term(Variable(tok.text, _zonk(env[tok.text])))
+            ty = _zonk(env[tok.text])
         except AmbiguousVariableType:
             raise AmbiguousVariableType(
                 f"{tok.line}:{tok.col}: the type of variable {tok.text} "
                 "is not determined by its occurrences"
             )
+        return Term(Variable(tok.text, ty), (), ty)
 
-    return _run_code(code, leaf, apply_term, pair)
+    def app(fn: Term, arg: Term) -> Term:
+        return Term(fn.head, fn.args + (arg,), fn.type.res)
+
+    return _run_code(code, leaf, app, pair)
 
 
 def _check_pairing(code: list, pairing: bool) -> None:

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .terms import (
     Atrs,
     FuncSym,
     PairHead,
-    Rule,
     SimpleType,
-    Sort,
     Term,
     Variable,
     is_basic,
@@ -19,7 +17,6 @@ from .terms import (
     is_pattern,
     print_term,
     subterms,
-    variables,
 )
 
 

@@ -9,7 +9,7 @@ from consfree.modules import ModuleError, parse_module_expr
 from consfree.solver import solve
 from consfree.syntax import encode_input, parse_atrs, parse_tm
 from consfree.terms import print_term, sym_term
-from consfree.tm import simulate_tm
+from consfree.tm import TMachine, Transition, simulate_tm
 from consfree.validation import check
 
 from conftest import corpus_text
@@ -69,6 +69,32 @@ def test_blank_named_B_is_rejected():
     # B is reserved as the compiled spelling of the blank
     with pytest.raises(ModuleError):
         compile_tm(parse_tm(tiny_tm("B")), parse_module_expr("lin"))
+
+
+@pytest.mark.parametrize(
+    "symbol,message",
+    [
+        ("a-b", "is not a valid identifier"),
+        ("\u00e9", "is not a valid identifier"),
+        ("a b", "is not a valid identifier"),
+        ("[]", "collides with a generated symbol"),
+    ],
+)
+def test_tape_symbols_follow_the_identifier_rule(symbol, message):
+    # the scanner's rule: [] is an identifier, but the generated empty list
+    tm = TMachine(
+        ("a",),
+        ("a", symbol, "_"),
+        ("s", "accept", "reject"),
+        "s",
+        [
+            Transition("s", "a", "a", "R", "accept"),
+            Transition("s", symbol, symbol, "R", "reject"),
+            Transition("s", "_", "_", "R", "reject"),
+        ],
+    )
+    with pytest.raises(ModuleError, match=message):
+        compile_tm(tm, parse_module_expr("lin"))
 
 
 def test_compiled_decide_agrees_with_the_simulator_on_short_inputs():

@@ -337,6 +337,37 @@ def test_the_digest_does_not_depend_on_the_hash_seed():
         assert done.stdout.split() == expected, (seed, done.stdout, done.stderr)
 
 
+def test_a_scheduling_fault_raises_instead_of_spinning():
+    # a _schedule that does not lower the low-water mark leaves a newly
+    # demanded group unevaluated, so a blocked evaluation or query would be
+    # retried forever; the solver's bounds raise instead
+    script = (
+        "import test_solver\n"
+        "from consfree.solver import Solver\n"
+        "def schedule(self, group, step):\n"
+        "    group.wake = step\n"
+        "    self._due[step].append(group)\n"
+        "Solver._schedule = schedule\n"
+        "for case in ('parity-e-01', 'expab-2'):\n"
+        "    try:\n"
+        "        test_solver.DIGEST_CASES[case][0]()\n"
+        "    except AssertionError as exc:\n"
+        "        print(f'{case}: {exc}')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(CORPUS.parents[1]), str(TESTS), os.environ.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=30, check=True,
+    )
+    assert done.stdout.splitlines() == [
+        "parity-e-01: evaluations exceeded the per-step bound",
+        "expab-2: a query read a group that is not due",
+    ], done.stderr
+
+
 def count_blocked(monkeypatch):
     """Count the Solver.rule_union calls that end in _Blocked: evaluations
     abandoned to be retried."""

@@ -1,6 +1,8 @@
 """File formats: round-trips on the shipped corpus and parser robustness."""
 
+import hashlib
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,8 +19,10 @@ from consfree.syntax import (
     print_atrs,
     print_tm,
     print_type,
+    tokenize,
 )
-from consfree.terms import Arrow, Product, Sort, TermError, print_term
+from consfree.terms import Arrow, Product, Sort, TermError, TypeMismatch, print_term
+from consfree.tm import TMError
 
 from conftest import CORPUS, corpus_text, load, term
 
@@ -118,6 +122,22 @@ def test_parse_errors_carry_positions():
         assert str(err.value)
 
 
+def test_type_errors_print_arrow_arguments_in_parentheses():
+    text = (
+        "sort nat ; fun f : nat => nat ;"
+        " fun k : (nat => nat) => nat => nat ; rule f x -> f {} ;"
+    )
+    with pytest.raises(TypeMismatch) as err:
+        parse_atrs(text.format("k"))
+    assert str(err.value) == (
+        "in application: cannot unify nat with (nat => nat) => nat => nat"
+    )
+    # a type not yet known prints as ?
+    with pytest.raises(TypeMismatch) as err:
+        parse_atrs(text.format("(x x)"))
+    assert str(err.value) == "in application: cannot unify nat with nat => ?"
+
+
 @given(st.text(max_size=120))
 def test_parser_never_panics_on_arbitrary_text(text):
     try:
@@ -138,6 +158,95 @@ def test_mutated_corpus_never_panics(name, junk, cut):
         parse_atrs(mutated)
     except (ParseError, TermError, EmptyInput, PairingRequired):
         pass
+
+
+PARSE_ERRORS = (ParseError, TermError, PairingRequired, TMError)
+# characters the scanner treats specially, beside those of the edited file
+EDIT_CHARS = "\n\t\r /-=>[](),;:*#?'._\u00e9"
+
+
+def _tokens(text):
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+
+
+def _outcome(name, text):
+    """The tokens of text (or the scanner's error), then the parsed and
+    printed system or machine (or the parser's error)."""
+    try:
+        tokens = _tokens(text)
+    except ParseError as exc:
+        tokens = f"{type(exc).__name__}: {exc}"
+    try:
+        if name.endswith(".tm"):
+            printed = str(parse_tm(text))
+        else:
+            printed = print_atrs(parse_atrs(text))
+    except PARSE_ERRORS as exc:
+        printed = f"{type(exc).__name__}: {exc}"
+    return repr((name, tokens, printed))
+
+
+def test_mutated_corpus_keeps_its_digest():
+    # the parser's exactness gate: seeded edits of every corpus file, each
+    # inserting, deleting or replacing up to 5 characters
+    names = ATRS_FILES + TM_FILES
+    texts = {name: corpus_text(name) for name in names}
+    rng = random.Random(17)
+    lines = []
+    for index in range(1000):
+        name = names[index % len(names)]
+        text = texts[name]
+        at = rng.randrange(len(text) + 1)
+        count = rng.randint(1, 5)
+        op = rng.choice("idr")
+        new = "".join(
+            rng.choice(EDIT_CHARS) if rng.random() < 0.5 else rng.choice(text)
+            for _ in range(count)
+        )
+        if op == "i":
+            text = text[:at] + new + text[at:]
+        elif op == "d":
+            text = text[:at] + text[at + count:]
+        else:
+            text = text[:at] + new + text[at + count:]
+        lines.append(_outcome(name, text))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest[:16]) == (1000, "b6d072b1cc4dcd38")
+
+
+def test_scanner_positions_at_the_edges():
+    # a comment does not advance the column, so a final comment leaves the
+    # end of input where the comment starts
+    assert _tokens("sort nat // c")[-1] == ("eof", "", 1, 10)
+    with pytest.raises(ParseError, match="^1:10: expected ';', found ''$"):
+        parse_atrs("sort nat // c")
+    assert _tokens("sort nat\n// end")[-1] == ("eof", "", 2, 1)
+    # a carriage return and a tab are one column each
+    assert _tokens("sort\r\n\tnat ;") == [
+        ("ident", "sort", 1, 1),
+        ("ident", "nat", 2, 2),
+        ("punct", ";", 2, 6),
+        ("eof", "", 2, 7),
+    ]
+    assert _tokens("fun a[]b") == [
+        ("ident", "fun", 1, 1),
+        ("ident", "a", 1, 5),
+        ("ident", "[]", 1, 6),
+        ("ident", "b", 1, 8),
+        ("eof", "", 1, 9),
+    ]
+    assert _tokens("f->x=>y") == [
+        ("ident", "f", 1, 1),
+        ("punct", "->", 1, 2),
+        ("ident", "x", 1, 4),
+        ("punct", "=>", 1, 5),
+        ("ident", "y", 1, 7),
+        ("eof", "", 1, 8),
+    ]
+    for ch in "-[=/\u00e9":
+        with pytest.raises(ParseError) as err:
+            tokenize(f"sort\n  {ch}x ;")
+        assert str(err.value) == f"2:3: unexpected character {ch!r}"
 
 
 def test_golden_module_files_match_generator():
