@@ -371,7 +371,6 @@ class Solver:
                 compiled = self._compiled.setdefault(rule.lhs.head.name, [])
                 compiled.append(self._compile_rule(rule))
         self.groups: Dict[Tuple, _Group] = {}
-        self.targets_cache: Dict[SimpleType, List] = {}
         self.step = 0
         # _demanded: statements over all groups; _confirmed: statements
         # confirmed; _due[k]: the worklist's groups to evaluate at step k, for
@@ -399,17 +398,12 @@ class Solver:
     def space(self, ty: SimpleType):
         return build_space(ty, self.B, self.space_budget, self.spaces)
 
-    def targets(self, ty: SimpleType) -> List:
-        cached = self.targets_cache.get(ty)
-        if cached is None:
-            if isinstance(ty, Sort):
-                cached = list(self.B.of_type(ty))
-            elif isinstance(ty, Product):
-                cached = list(self.space(ty).universe)
-            else:
-                raise NotBasic(f"{ty} is not a base type")
-            self.targets_cache[ty] = cached
-        return cached
+    def targets(self, ty: SimpleType) -> Sequence[Term]:
+        if isinstance(ty, Sort):
+            return self.B.of_type(ty)
+        if isinstance(ty, Product):
+            return self.space(ty).universe
+        raise NotBasic(f"{ty} is not a base type")
 
     def statement_count(self) -> int:
         """The arithmetic number of statements over all defined symbols."""

@@ -183,7 +183,9 @@ class _Parser:
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # in range: next stops at the final eof, and a look one token ahead
+        # is only taken from a ';', which is never the final token
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -478,10 +480,6 @@ def parse_term(
     return _build(code, atrs.symbols, env)
 
 
-def print_type(ty: SimpleType) -> str:
-    return str(ty)
-
-
 def print_atrs(atrs: Atrs) -> str:
     """Render a rewriting system in concrete syntax."""
     lines = []
@@ -569,7 +567,3 @@ def parse_tm(text: str) -> TMachine:
         sections["start"][0],
         transitions,
     )
-
-
-def print_tm(tm: TMachine) -> str:
-    return str(tm)

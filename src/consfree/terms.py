@@ -303,15 +303,20 @@ def variables(t: Term) -> set:
 def is_pattern(t: Term) -> bool:
     """Patterns: variables, fully applied constructors of base type over
     patterns, and pairs of patterns."""
-    if isinstance(t.head, Variable):
-        return not t.args
-    if isinstance(t.head, PairHead):
-        return all(is_pattern(arg) for arg in t.args)
-    if t.head.is_constructor:
-        return isinstance(t.type, (Sort, Product)) and all(
-            is_pattern(arg) for arg in t.args
-        )
-    return False
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        head = u.head
+        if isinstance(head, Variable):
+            if u.args:
+                return False
+        elif isinstance(head, PairHead) or (
+            head.is_constructor and isinstance(u.type, (Sort, Product))
+        ):
+            stack += u.args
+        else:
+            return False
+    return True
 
 
 def is_data(t: Term) -> bool:

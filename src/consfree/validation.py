@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .terms import (
     Atrs,
@@ -47,16 +47,6 @@ class Verdict:
     order: int
     violations: List[Violation] = field(default_factory=list)
 
-    def violations_for(self, kind: str) -> List[Violation]:
-        return [v for v in self.violations if v.kind == kind]
-
-
-def _strict_subterms(lhs: Term) -> Set[Term]:
-    out: Set[Term] = set()
-    for arg in lhs.args:
-        out |= subterms(arg)
-    return out
-
 
 def _constructor_headed(t: Term) -> bool:
     return isinstance(t.head, FuncSym) and t.head.is_constructor
@@ -64,119 +54,129 @@ def _constructor_headed(t: Term) -> bool:
 
 def check(atrs: Atrs) -> Verdict:
     """Classify atrs: constructor system, left-linear, cons-free, and (with
-    pairing) product-cons-free; the verdict carries per-rule violations."""
-    violations: List[Violation] = []
-    constructor_system = True
-    left_linear = True
+    pairing) product-cons-free. The verdict lists the constructor-system and
+    left-linear violations rule by rule, then every cons-free violation, then
+    every product-cons-free one; within a rule, by the offending term's text."""
+    shape: List[Violation] = []
+    built: List[Violation] = []
+    paired: List[Violation] = []
     for rule in atrs.rules:
-        head = rule.lhs.head
-        if not isinstance(head, FuncSym) or head.is_constructor:
-            constructor_system = False
-            violations.append(
+        lhs = rule.lhs
+        if not isinstance(lhs.head, FuncSym) or lhs.head.is_constructor:
+            shape.append(
                 Violation(
                     rule.name,
                     "constructor-system",
                     "left-hand side is not headed by a defined symbol",
                 )
             )
-        elif not all(is_pattern(arg) for arg in rule.lhs.args):
-            constructor_system = False
-            violations.append(
+        elif not all(is_pattern(arg) for arg in lhs.args):
+            shape.append(
                 Violation(
                     rule.name,
                     "constructor-system",
                     "left-hand side arguments are not all patterns",
                 )
             )
+        # every occurrence below the head: the strict subterms, and each
+        # variable occurrence
+        below: Set[Term] = set()
         seen: Set[Variable] = set()
         linear = True
-        for arg in rule.lhs.args:
-            for var in _occurrences(arg):
-                if var in seen:
-                    linear = False
-                seen.add(var)
+        stack = list(lhs.args)
+        while stack:
+            t = stack.pop()
+            below.add(t)
+            if isinstance(t.head, Variable):
+                linear = linear and t.head not in seen
+                seen.add(t.head)
+            stack += t.args
         if not linear:
-            left_linear = False
-            violations.append(
+            shape.append(
                 Violation(
                     rule.name,
                     "left-linear",
                     "a variable occurs twice on the left-hand side",
                 )
             )
-    cons_free = constructor_system and left_linear
-    for rule in atrs.rules:
-        allowed = _strict_subterms(rule.lhs)
-        for s in sorted(subterms(rule.rhs), key=print_term):
-            if _constructor_headed(s) and not is_data(s) and s not in allowed:
-                cons_free = False
-                violations.append(
+        top_vars = {
+            arg.head for arg in lhs.args if isinstance(arg.head, Variable) and not arg.args
+        }
+        fresh: List[Term] = []
+        pairs: List[Tuple[Term, List[Term]]] = []
+        for s in subterms(rule.rhs):
+            if isinstance(s.head, PairHead) and atrs.pairing:
+                bad = [
+                    c
+                    for c in s.args
+                    if not isinstance(c.head, PairHead)
+                    and not _constructor_headed(c)
+                    and not (
+                        isinstance(c.head, Variable)
+                        and not c.args
+                        and c.head not in top_vars
+                    )
+                ]
+                if bad:
+                    pairs.append((s, bad))
+            elif _constructor_headed(s) and not is_data(s) and s not in below:
+                fresh.append(s)
+        for s in sorted(fresh, key=print_term):
+            built.append(
+                Violation(
+                    rule.name,
+                    "cons-free",
+                    f"constructor term {print_term(s)} is neither data nor "
+                    "a subterm of the left-hand side",
+                )
+            )
+        for _, bad in sorted(pairs, key=lambda found: print_term(found[0])):
+            for component in bad:
+                paired.append(
                     Violation(
                         rule.name,
-                        "cons-free",
-                        f"constructor term {print_term(s)} is neither data nor "
-                        "a subterm of the left-hand side",
+                        "product-cons-free",
+                        f"pair component {print_term(component)} is not a pair, "
+                        "a constructor term, or a variable below a pattern",
                     )
                 )
-    product_cons_free: Optional[bool] = None
-    if atrs.pairing:
-        product_cons_free = cons_free
-        for rule in atrs.rules:
-            top_vars = {
-                arg.head
-                for arg in rule.lhs.args
-                if isinstance(arg.head, Variable) and not arg.args
-            }
-            for s in sorted(subterms(rule.rhs), key=print_term):
-                if not isinstance(s.head, PairHead):
-                    continue
-                for component in s.args:
-                    if isinstance(component.head, PairHead):
-                        continue
-                    if _constructor_headed(component):
-                        continue
-                    if (
-                        isinstance(component.head, Variable)
-                        and not component.args
-                        and component.head not in top_vars
-                    ):
-                        continue
-                    product_cons_free = False
-                    violations.append(
-                        Violation(
-                            rule.name,
-                            "product-cons-free",
-                            f"pair component {print_term(component)} is not a pair, "
-                            "a constructor term, or a variable below a pattern",
-                        )
-                    )
+    kinds = {v.kind for v in shape}
+    cons_free = not shape and not built
     order = max((sym.type.order() for sym in atrs.symbols.values()), default=0)
     return Verdict(
-        constructor_system, left_linear, cons_free, product_cons_free, order, violations
+        "constructor-system" not in kinds,
+        "left-linear" not in kinds,
+        cons_free,
+        cons_free and not paired if atrs.pairing else None,
+        order,
+        shape + built + paired,
     )
-
-
-def _occurrences(t: Term) -> List[Variable]:
-    out = []
-    if isinstance(t.head, Variable):
-        out.append(t.head)
-    for arg in t.args:
-        out.extend(_occurrences(arg))
-    return out
 
 
 @dataclass(frozen=True)
 class BSet:
     """The data terms reachable from a start term: its data subterms plus the
-    data subterms of every right-hand side. Closed under subterms."""
+    data subterms of every right-hand side. Closed under subterms. The terms
+    are sorted by their text once, when the set is built, and grouped by
+    type."""
 
     terms: frozenset
+    _by_type: Dict[SimpleType, Tuple[Term, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        by_type: Dict[SimpleType, List[Term]] = {}
+        for t in sorted(self.terms, key=print_term):
+            by_type.setdefault(t.type, []).append(t)
+        groups = {ty: tuple(members) for ty, members in by_type.items()}
+        object.__setattr__(self, "_by_type", groups)
 
     def __contains__(self, t: Term) -> bool:
         return t in self.terms
 
-    def of_type(self, ty: SimpleType) -> List[Term]:
-        return sorted((t for t in self.terms if t.type == ty), key=print_term)
+    def of_type(self, ty: SimpleType) -> Tuple[Term, ...]:
+        return self._by_type.get(ty, ())
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -214,25 +214,17 @@ def prune_ho_constructors(atrs: Atrs) -> Tuple[Atrs, List[str]]:
     """Drop constructors of type order above one, and every rule mentioning
     them; reachable data terms are unaffected."""
     removed = [
-        sym.name
+        sym
         for sym in atrs.symbols.values()
         if sym.is_constructor and sym.type.order() > 1
     ]
-    removed_set = set(removed)
-
-    def mentions(t: Term) -> bool:
-        return any(
-            isinstance(s.head, FuncSym) and s.head.name in removed_set
-            for s in subterms(t)
-        )
-
-    symbols = {
-        name: sym for name, sym in atrs.symbols.items() if name not in removed_set
-    }
+    if not removed:
+        return atrs, []
+    symbols = {name: sym for name, sym in atrs.symbols.items() if sym not in removed}
     rules = [
         rule
         for rule in atrs.rules
-        if not mentions(rule.lhs) and not mentions(rule.rhs)
+        if not any(s.head in removed for s in subterms(rule.lhs) | subterms(rule.rhs))
     ]
     pruned = Atrs(atrs.sorts, symbols, rules, atrs.pairing, dict(atrs.var_decls))
-    return pruned, removed
+    return pruned, [sym.name for sym in removed]

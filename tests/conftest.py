@@ -23,6 +23,16 @@ def term(text: str, atrs):
     return parse_term(text, atrs, {})
 
 
+def long_pattern_system(length):
+    """A system whose one rule matches a list of `length` bits."""
+    bits = " ; ".join("01"[i % 2] for i in range(length))
+    return (
+        "sort symb list ;\ncons 0 : symb ;\ncons 1 : symb ;\ncons [] : list ;\n"
+        "cons cons : symb => list => list ;\nfun f : list => list ;\n"
+        f"rule f ({bits} ; xs) -> f xs ;\n"
+    )
+
+
 @pytest.fixture(scope="session")
 def majority():
     return load("majority.atrs")

@@ -330,7 +330,7 @@ def test_09_validator_discrimination(sat, succ_system, nonlinear_tm):
 
     succ_verdict = check(succ_system)
     assert not succ_verdict.cons_free
-    assert {v.rule for v in succ_verdict.violations_for("cons-free")} == {"r2", "r3"}
+    assert {v.rule for v in succ_verdict.violations if v.kind == "cons-free"} == {"r2", "r3"}
 
     assert check(nonlinear_tm).left_linear is False
 

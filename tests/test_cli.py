@@ -13,7 +13,7 @@ import pytest
 from consfree import cli
 from consfree.cli import main
 
-from conftest import CORPUS
+from conftest import CORPUS, long_pattern_system
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MAJORITY = str(CORPUS / "majority.atrs")
@@ -131,6 +131,17 @@ def test_over_deep_input_is_exit_2_without_a_traceback(command, flag):
     done = run_majority_subprocess(command, flag, nested)
     assert done.returncode == 2
     assert done.stderr == "error: input nested too deeply for the interpreter's stack\n"
+
+
+def test_check_reads_a_long_list_pattern(tmp_path):
+    path = tmp_path / "long.atrs"
+    path.write_text(long_pattern_system(3000))
+    done = subprocess.run(
+        [sys.executable, "-m", "consfree.cli", "check", str(path), "--require", "cons-free"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "cons-free: True" in done.stdout.splitlines()
 
 
 def test_600_element_input_is_answered_by_run_and_refused_by_solve():

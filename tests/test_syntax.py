@@ -17,8 +17,6 @@ from consfree.syntax import (
     parse_term,
     parse_tm,
     print_atrs,
-    print_tm,
-    print_type,
     tokenize,
 )
 from consfree.terms import Arrow, Product, Sort, TermError, TypeMismatch, print_term
@@ -52,7 +50,7 @@ def test_atrs_round_trip(name):
 @pytest.mark.parametrize("name", TM_FILES)
 def test_tm_round_trip(name):
     tm = parse_tm(corpus_text(name))
-    again = parse_tm(print_tm(tm))
+    again = parse_tm(str(tm))
     assert again == tm
 
 
@@ -73,8 +71,8 @@ def test_long_list_parses_without_recursion(majority):
 
 def test_type_printing():
     nat = Sort("nat")
-    assert print_type(Arrow(Arrow(nat, nat), nat)) == "(nat => nat) => nat"
-    assert print_type(Product(nat, Arrow(nat, nat))) == "nat * (nat => nat)"
+    assert str(Arrow(Arrow(nat, nat), nat)) == "(nat => nat) => nat"
+    assert str(Product(nat, Arrow(nat, nat))) == "nat * (nat => nat)"
 
 
 def test_encode_decode_input(sat):

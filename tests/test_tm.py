@@ -2,7 +2,7 @@
 
 import pytest
 
-from consfree.syntax import parse_tm, print_tm
+from consfree.syntax import parse_tm
 from consfree.tm import NonDeterministicTM, TMError, TMFormatError, simulate_tm
 
 from conftest import corpus_text
@@ -55,4 +55,4 @@ def test_blank_cannot_be_an_input_symbol():
 
 def test_print_round_trip():
     for tm in (contains1(), parity()):
-        assert parse_tm(print_tm(tm)) == tm
+        assert parse_tm(str(tm)) == tm

@@ -1,6 +1,7 @@
 """The benchmark's traced runs: the tracer finds every library function it
 wraps, since a deleted or renamed function would leave its per-layer metrics
-null, and each workload's traced run ends in a strict-JSON result."""
+null, each workload's traced run ends in a strict-JSON result, and the
+solver workloads call the validation layer through the wrapped names."""
 
 import json
 import subprocess
@@ -41,3 +42,8 @@ def test_traced_run_ends_in_a_correct_result(workload):
     assert [line for line in lines if " absent " in line or line.startswith("MISMATCH")] == []
     result = json.loads(lines[-1], parse_constant=reject)
     assert result["correct"] is True and result["failed"] == 0
+    if workload != "sat_search":
+        # a caller that bypassed the wrapped names would read 0 here
+        metrics = result["metrics"]
+        layer = ["check_s", "prune_s", "compute_B_s", "B_size"]
+        assert [m for m in layer if not metrics[f"validation.{m}"]["value"] > 0] == []
