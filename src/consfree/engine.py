@@ -9,12 +9,11 @@ from .syntax import encode_input
 from .terms import (
     Atrs,
     FuncSym,
+    Head,
+    Matcher,
     Rule,
     Term,
     Variable,
-    _match_into,
-    apply_subst,
-    apply_term,
     is_data,
     print_term,
     sym_term,
@@ -70,40 +69,199 @@ class SearchResult:
     traces: Dict[Term, List[Step]] = field(default_factory=dict)
 
 
+def _is_variable(t: Term) -> bool:
+    return isinstance(t.head, Variable) and not t.args
+
+
+def _compile_rhs(rhs: Term, slots: Dict[Variable, int], width: int) -> Callable:
+    """The builder of a right-hand side, made in one walk, children first.
+    It takes the env of a match, the spine arguments past the matched ones
+    and the type of the whole, and makes one `Term(...)` per node that holds
+    a variable: values are the env's slots, then the ground subterms, built
+    here once, then the nodes built so far. A variable head applies its
+    value to the node's arguments."""
+    kinds: Dict[Term, Tuple[str, int]] = {}  # node -> ("env" | "const" | "step", index)
+    consts: List[Term] = []
+    steps: List[Tuple[Optional[Head], List[Tuple[str, int]], object]] = []
+    stack = [rhs]
+    while stack:
+        u = stack[-1]
+        if u in kinds:
+            stack.pop()
+            continue
+        pending = [arg for arg in u.args if arg not in kinds]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        head = u.head
+        bound = isinstance(head, Variable) and head in slots
+        if bound and not u.args:
+            kinds[u] = ("env", slots[head])
+        elif not bound and all(kinds[arg][0] == "const" for arg in u.args):
+            kinds[u] = ("const", len(consts))
+            consts.append(u)
+        else:
+            refs = [kinds[arg] for arg in u.args]
+            if bound:
+                head, refs = None, [("env", slots[u.head])] + refs
+            kinds[u] = ("step", len(steps))
+            steps.append((head, refs, u.type))
+    if not steps:
+        kind, at = kinds[rhs]
+        fixed = consts[at] if kind == "const" else None
+
+        def leaf(env, extra, ty):
+            value = env[at] if fixed is None else fixed
+            return Term(value.head, value.args + extra, ty) if extra else value
+
+        return leaf
+    base = {"env": 0, "const": width, "step": width + len(consts)}
+    program = [(head, [base[k] + i for k, i in refs], ty) for head, refs, ty in steps]
+    body, (root_head, root_refs, _) = program[:-1], program[-1]
+
+    def build(env, extra, ty):
+        values = env + consts
+        for head, refs, node_ty in body:
+            args = tuple([values[r] for r in refs])
+            if head is None:
+                image = args[0]
+                values.append(Term(image.head, image.args + args[1:], node_ty))
+            else:
+                values.append(Term(head, args, node_ty))
+        args = tuple([values[r] for r in root_refs]) + extra
+        if root_head is None:
+            image = args[0]
+            return Term(image.head, image.args + args[1:], ty)
+        return Term(root_head, args, ty)
+
+    return build
+
+
+class CompiledRule:
+    """A rule compiled once per system: a matcher of its argument patterns
+    whose heads at depth 1 and 2 its head's dispatch has compared, and a
+    builder of its contractum."""
+
+    __slots__ = ("rule", "name", "arity", "match", "build")
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.name = rule.name
+        self.arity = rule.arity
+        self.match = Matcher(rule.lhs.args, known=2)
+        width = self.arity + len(self.match.binds)
+        self.build = _compile_rhs(rule.rhs, self.match.slots, width)
+
+
+class HeadRules:
+    """The compiled rules of one defined symbol, in rule order, with a
+    dispatch on its terms' spines. The key is the argument count, the head
+    of each argument some rule has a pattern for, and the heads of those
+    arguments' own arguments that some pattern fixes; each key maps to the
+    rules whose heads at those places it agrees with, found on the key's
+    first occurrence."""
+
+    __slots__ = ("rules", "probes", "dispatch")
+
+    def __init__(self, rules: List[CompiledRule]):
+        # the places each rule fixes, with their heads: (i, -1) is argument
+        # i, and (i, j) is argument j of argument i
+        fixed = []
+        for rule in rules:
+            places = []
+            for i, pattern in enumerate(rule.rule.lhs.args):
+                if not _is_variable(pattern):
+                    places.append(((i, -1), pattern.head))
+                    places += [
+                        ((i, j), p.head) for j, p in enumerate(pattern.args) if not _is_variable(p)
+                    ]
+            fixed.append(places)
+        # key index k + 1 holds the head at the k-th place in sorted order
+        ordered = sorted({place for places in fixed for place, _ in places})
+        at = {place: k + 1 for k, place in enumerate(ordered)}
+        self.probes = tuple(
+            (i, tuple(j for i2, j in ordered if i2 == i and j >= 0)) for i, j in ordered if j < 0
+        )
+        self.rules = [
+            (rule, tuple((at[place], head) for place, head in places))
+            for rule, places in zip(rules, fixed)
+        ]
+        self.dispatch: Dict[Tuple, Tuple[CompiledRule, ...]] = {}
+
+    def candidates(self, args: Tuple[Term, ...]) -> Tuple[CompiledRule, ...]:
+        """The rules whose patterns' heads at depth 1 and 2 agree with args."""
+        n = len(args)
+        key = [n]
+        for i, subs in self.probes:
+            if i >= n:
+                break
+            arg = args[i]
+            key.append(arg.head)
+            if subs:
+                inner = arg.args
+                m = len(inner)
+                for j in subs:
+                    key.append(inner[j].head if j < m else None)
+        key = tuple(key)
+        found = self.dispatch.get(key)
+        if found is None:
+            found = self.dispatch[key] = tuple(
+                rule
+                for rule, required in self.rules
+                if rule.arity <= n
+                and all(key[k] is head or key[k] == head for k, head in required)
+            )
+        return found
+
+
+def rule_table(atrs: Atrs) -> Tuple[Dict[FuncSym, HeadRules], Dict[str, CompiledRule]]:
+    """The system's rules, compiled on first use and kept with it, by
+    defined head and by name; the rules of a system are not changed once
+    it is built."""
+    if atrs.compiled is None:
+        by_head: Dict[FuncSym, List[CompiledRule]] = {}
+        by_name: Dict[str, CompiledRule] = {}
+        for rule in atrs.rules:
+            compiled = by_name[rule.name] = CompiledRule(rule)
+            if isinstance(rule.head, FuncSym):
+                by_head.setdefault(rule.head, []).append(compiled)
+        atrs.compiled = ({head: HeadRules(rules) for head, rules in by_head.items()}, by_name)
+    return atrs.compiled
+
+
+Match = Tuple[CompiledRule, List[Term]]
+
+
 class Engine:
     """Rewrites terms of one system, with per-term memoization."""
 
     def __init__(self, atrs: Atrs):
         self.atrs = atrs
-        self.rules_by_head: Dict[str, List[Rule]] = {}
-        self.rules_by_name: Dict[str, Rule] = {}
-        for rule in atrs.rules:
-            head = rule.lhs.head
-            if isinstance(head, FuncSym):
-                self.rules_by_head.setdefault(head.name, []).append(rule)
-            self.rules_by_name[rule.name] = rule
+        self.by_head, self.by_name = rule_table(atrs)
         self._options: Dict[str, Dict[Term, Tuple]] = {}
 
-    def node_matches(self, t: Term) -> List[Tuple[Rule, Dict[Variable, Term], int]]:
-        """Rules whose pattern list matches a prefix of t's spine arguments."""
-        head = t.head
-        if not isinstance(head, FuncSym) or head.is_constructor:
+    def node_matches(self, t: Term) -> List[Match]:
+        """The rules, in order, whose patterns match a prefix of t's spine
+        arguments, each with its env: the matched arguments, then the
+        terms bound to the variables inside the patterns."""
+        if t.is_data:
             return []
+        rules = self.by_head.get(t.head)
+        if rules is None:
+            return []
+        args = t.args
         out = []
-        for rule in self.rules_by_head.get(head.name, ()):
-            k = rule.arity
-            if k > len(t.args):
-                continue
-            subst: Dict[Variable, Term] = {}
-            if all(
-                _match_into(l, a, subst) for l, a in zip(rule.lhs.args, t.args)
-            ):
-                out.append((rule, subst, k))
+        for rule in rules.candidates(args):
+            env = list(args[: rule.arity])
+            if rule.match(args, env):
+                out.append((rule, env))
         return out
 
-    def contract(self, t: Term, rule: Rule, subst: Dict[Variable, Term], k: int) -> Term:
+    def contract(self, t: Term, match: Match) -> Term:
         """Replace the matched prefix of t by the instantiated right-hand side."""
-        return apply_term(apply_subst(rule.rhs, subst), *t.args[k:])
+        rule, env = match
+        return rule.build(env, t.args[rule.arity :], t.type)
 
     def step_options(self, t: Term, strategy: str) -> Tuple[Tuple[Term, str, Tuple[int, ...]], ...]:
         """All one-step reducts of t under the strategy, with rule and path."""
@@ -130,15 +288,16 @@ class Engine:
         matches = self.node_matches(t)
         blocked_below = 0
         if strategy == OUTERMOST and matches:
-            kmax = max(k for _, _, k in matches)
-            matches = [m for m in matches if m[2] == kmax]
+            kmax = max(rule.arity for rule, _ in matches)
+            matches = [m for m in matches if m[0].arity == kmax]
             blocked_below = kmax
-        for rule, subst, k in matches:
+        for match in matches:
+            rule = match[0]
             # a term without innermost options is normal, since a lowest
             # redex has normal arguments
-            if strategy == INNERMOST and any(memo[arg] for arg in t.args[:k]):
+            if strategy == INNERMOST and any(memo[arg] for arg in t.args[: rule.arity]):
                 continue
-            out.append((self.contract(t, rule, subst, k), rule.name, ()))
+            out.append((self.contract(t, match), rule.name, ()))
         for i, arg in enumerate(t.args[blocked_below:], blocked_below):
             for reduct, name, path in memo[arg]:
                 args = t.args[:i] + (reduct,) + t.args[i + 1 :]
@@ -263,13 +422,13 @@ def replay_trace(root: Term, steps: List[Step], atrs: Atrs) -> List[Term]:
     terms = [root]
     current = root
     for name, path in steps:
-        if name not in engine.rules_by_name:
+        if name not in engine.by_name:
             raise NonReplayableTrace(f"no rule named {name}")
 
         def contract(node: Term) -> Term:
-            for cand, subst, k in engine.node_matches(node):
-                if cand.name == name:
-                    return engine.contract(node, cand, subst, k)
+            for match in engine.node_matches(node):
+                if match[0].name == name:
+                    return engine.contract(node, match)
             raise NonReplayableTrace(
                 f"rule {name} does not apply at {format_step((name, path))} "
                 f"in {print_term(current)}"

@@ -35,7 +35,8 @@ A solver is built over a fixed data universe B, and each rule's right-hand
 side, padded to full arity, is compiled once, at construction, in one
 recursive pass into a tree of closures (closure generation), one per node.
 Env slot j holds a rule instance's argument j, its patterns' variables
-follow; a variable reads its slot and applies it to its arguments in turn,
+follow, bound by each constructor or pair pattern's `terms.Matcher`, the
+one the engine matches with; a variable reads its slot and applies it to its arguments in turn,
 a data constant is a prebuilt singleton, a call builds its argument tuple
 in a loop and reads its group, and a pair or constructor term is its head
 applied to each choice of argument values. Cons-freeness binds a
@@ -62,6 +63,7 @@ from .terms import (
     Arrow,
     Atrs,
     FuncSym,
+    Matcher,
     PairHead,
     Product,
     Rule,
@@ -69,7 +71,6 @@ from .terms import (
     Sort,
     Term,
     Variable,
-    _match_into,
     apply_term,
     arg_types,
     flatten_product,
@@ -519,28 +520,31 @@ class Solver:
     def _compile_rule(self, rule: Rule) -> Tuple:
         """The rule's right-hand side, padded to its head's full arity, as
         code; its constructor and pair patterns with their argument indices,
-        ground ones first; the slots by variable name; and the static call
-        sites. Slot j holds argument j, under a top-level variable's or pad's
-        name or, for a pattern, a placeholder, and the patterns' variables
-        follow."""
+        ground ones first, each other one with its matcher and the slots of
+        the matcher's variables; the slots by variable name; and the static
+        call sites. Slot j holds argument j, under a top-level variable's or
+        pad's name or, for a pattern, a placeholder, and the patterns'
+        variables follow, in each matcher's bind order."""
         head = rule.lhs.head
         types = arg_types(head.type)
         pads = tuple(
             sym_term(Variable(f"#pad{j}", types[j])) for j in range(rule.arity, head.arity)
         )
         slots: Dict[str, int] = {}
-        matched: List[Tuple[int, Term]] = []
+        matched: List[Tuple] = []
         for j, pattern in enumerate(rule.lhs.args + pads):
             if isinstance(pattern.head, Variable):
                 slots[pattern.head.name] = j
             else:
                 slots[f"#arg{j}"] = j
                 matched.append((j, pattern))
-        for _, pattern in matched:
-            if not pattern.is_data:
-                for name in sorted(v.name for v in variables(pattern)):
-                    slots[name] = len(slots)
         matched.sort(key=lambda m: not m[1].is_data)
+        for n, (j, pattern) in enumerate(matched):
+            matcher, targets = None, ()
+            if not pattern.is_data:
+                matcher = Matcher((pattern,))
+                targets = tuple(slots.setdefault(v.name, len(slots)) for v in matcher.slots)
+            matched[n] = (j, pattern, matcher, targets)
         sites: List[Tuple[str, List[Code]]] = []
         code, _ = self._compile(apply_term(rule.rhs, *pads), slots, sites)
         return code, matched, slots, sites
@@ -601,18 +605,18 @@ class Solver:
         plans = []
         for code, matched, slots, sites in self._compiled.get(fname, ()):
             envs = [[*args, *[None] * (len(slots) - len(args))]]
-            for j, pattern in matched:
-                if pattern.is_data:
+            for j, pattern, matcher, targets in matched:
+                if matcher is None:
                     if pattern in args[j]:
                         continue
                     envs = []
                     break
                 matches = []
                 for member in args[j]:
-                    subst: Dict[Variable, Term] = {}
-                    if _match_into(pattern, member, subst):
+                    found = [member]
+                    if matcher((member,), found):
                         matches.append(
-                            [(slots[v.name], self._singleton(d)) for v, d in subst.items()]
+                            [(slot, self._singleton(d)) for slot, d in zip(targets, found[1:])]
                         )
                 extended = []
                 for env in envs:

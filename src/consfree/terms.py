@@ -34,7 +34,17 @@ class PrintError(TermError):
 
 
 class SimpleType:
-    """Base class for simple types with products."""
+    """Base class for simple types with products.
+
+    Each type computes its hash once, in `__post_init__`, from its fields'
+    hashes, so a type-keyed lookup does not walk the type. Copies and
+    unpickled types are built afresh, so they hash afresh."""
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
     def order(self) -> int:
         raise NotImplementedError
@@ -45,6 +55,11 @@ class Sort(SimpleType):
     """Base type: a declared sort name."""
 
     name: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    __hash__ = SimpleType.__hash__
 
     def order(self) -> int:
         return 0
@@ -60,6 +75,11 @@ class Arrow(SimpleType):
     arg: SimpleType
     res: SimpleType
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.arg, self.res)))
+
+    __hash__ = SimpleType.__hash__
+
     def order(self) -> int:
         return max(self.arg.order() + 1, self.res.order())
 
@@ -74,6 +94,11 @@ class Product(SimpleType):
 
     left: SimpleType
     right: SimpleType
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    __hash__ = SimpleType.__hash__
 
     def order(self) -> int:
         return max(self.left.order(), self.right.order())
@@ -159,6 +184,10 @@ class Variable:
 
 class PairHead:
     """Singleton head marker for pair terms."""
+
+    def __reduce__(self):
+        # copies and unpickled pairs keep the one marker
+        return "PAIR"
 
     def __str__(self) -> str:
         return "(,)"
@@ -345,32 +374,100 @@ def classify(t: Term) -> str:
     return "none-of-these"
 
 
+class Matcher:
+    """Argument patterns compiled to be matched without recursion.
+
+    A matcher reads the first `arity` spine arguments of a term and binds
+    each pattern variable to a slot of an env list. A variable that is a
+    whole argument pattern takes that argument's index, which the caller
+    fills; every other variable takes the next slot, in the order the
+    binds append them. Positions are read through registers: registers
+    0..arity-1 hold the arguments and each load appends the child of an
+    earlier register, so a pattern of any depth is matched by flat loops.
+    A repeated variable is tested by identity, which is equality since
+    terms are hash-consed. Heads are compared with `==` (identity first),
+    except those at depth `known` or less, which the caller has compared.
+    Well-typed terms with equal heads at a position have equally many
+    arguments there, so only heads are compared.
+    """
+
+    __slots__ = ("arity", "slots", "heads", "loads", "binds", "same", "arg_same")
+
+    def __init__(self, patterns: Tuple[Term, ...], known: int = 0):
+        self.arity = len(patterns)
+        # slot by variable: whole-argument variables first, at their index
+        self.slots: Dict[Variable, int] = {}
+        for i, p in enumerate(patterns):
+            if isinstance(p.head, Variable) and not p.args:
+                self.slots.setdefault(p.head, i)
+        heads, loads, binds, same, arg_same = [], [], [], [], []
+        registers = self.arity
+        for i, p in enumerate(patterns):
+            if isinstance(p.head, Variable) and not p.args:
+                if self.slots[p.head] != i:
+                    arg_same.append((i, self.slots[p.head]))
+                continue
+            if known < 1:
+                heads.append((i, p.head))
+            stack = [(p, i, 1)]  # a checked pattern node, its register and depth
+            while stack:
+                node, reg, depth = stack.pop()
+                for j, child in enumerate(node.args):
+                    if isinstance(child.head, Variable) and not child.args:
+                        slot = self.slots.get(child.head)
+                        if slot is None:
+                            slot = self.slots[child.head] = self.arity + len(binds)
+                            binds.append((reg, j))
+                        else:
+                            same.append((reg, j, slot))
+                    elif child.args or depth >= known:
+                        loads.append((reg, j, child.head if depth >= known else None))
+                        stack.append((child, registers, depth + 1))
+                        registers += 1
+        self.heads, self.loads, self.binds = tuple(heads), tuple(loads), tuple(binds)
+        self.same, self.arg_same = tuple(same), tuple(arg_same)
+
+    def __call__(self, args: Tuple[Term, ...], env: List[Term]) -> bool:
+        """Match args[:arity]; env holds those arguments, and each bind
+        appends its term to it."""
+        for i, head in self.heads:
+            found = args[i].head
+            if found is not head and found != head:
+                return False
+        nodes = args
+        if self.loads:
+            nodes = list(args[: self.arity])
+            for reg, j, head in self.loads:
+                node = nodes[reg].args[j]
+                if head is not None:
+                    found = node.head
+                    if found is not head and found != head:
+                        return False
+                nodes.append(node)
+        for reg, j in self.binds:
+            env.append(nodes[reg].args[j])
+        for reg, j, slot in self.same:
+            if nodes[reg].args[j] is not env[slot]:
+                return False
+        for i, slot in self.arg_same:
+            if args[i] is not env[slot]:
+                return False
+        return True
+
+
 def match(pattern: Term, t: Term) -> Optional[Dict[Variable, Term]]:
     """Match pattern against t, or None.
 
     Repeated variables are permitted and must bind syntactically equal terms.
     """
-    subst: Dict[Variable, Term] = {}
-    if _match_into(pattern, t, subst):
-        return subst
-    return None
-
-
-def _match_into(pattern: Term, t: Term, subst: Dict[Variable, Term]) -> bool:
-    head = pattern.head
-    if isinstance(head, Variable) and not pattern.args:
-        bound = subst.get(head)
-        if bound is None:
-            subst[head] = t
-            return True
-        return bound == t
-    if isinstance(head, PairHead):
-        if not isinstance(t.head, PairHead):
-            return False
-        return all(_match_into(p, a, subst) for p, a in zip(pattern.args, t.args))
-    if head != t.head or len(pattern.args) != len(t.args):
-        return False
-    return all(_match_into(p, a, subst) for p, a in zip(pattern.args, t.args))
+    # a term of another type has, under an equal head, other arguments
+    if pattern.args and pattern.type != t.type:
+        return None
+    matcher = Matcher((pattern,))
+    env = [t]
+    if not matcher((t,), env):
+        return None
+    return {v: env[slot] for v, slot in matcher.slots.items()}
 
 
 def apply_subst(t: Term, subst: Dict[Variable, Term]) -> Term:
@@ -461,6 +558,8 @@ class Atrs:
     rules: List[Rule]
     pairing: bool = False
     var_decls: Dict[str, SimpleType] = field(default_factory=dict)
+    # the engine's compiled rules, built on first use (`engine.rule_table`)
+    compiled: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def constructors(self) -> List[FuncSym]:
         return [f for f in self.symbols.values() if f.is_constructor]

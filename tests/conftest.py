@@ -33,6 +33,18 @@ def long_pattern_system(length):
     )
 
 
+# a pairing system with nested pair patterns
+NESTED_PRODUCTS = (
+    "pairing ;\nsort symb list ;\ncons 0 : symb ;\ncons 1 : symb ;\n"
+    "cons [] : list ;\ncons cons : symb => list => list ;\n"
+    "fun g : list => symb * (symb * symb) ;\n"
+    "fun f : symb * (symb * symb) => symb ;\nfun start : list => symb ;\n"
+    "rule g (c ; cs) -> (c , (0 , c)) ;\n"
+    "rule f (x , (y , z)) -> y ;\nrule f (x , p) -> x ;\n"
+    "rule start cs -> f (g cs) ;\n"
+)
+
+
 @pytest.fixture(scope="session")
 def majority():
     return load("majority.atrs")

@@ -144,6 +144,20 @@ def test_check_reads_a_long_list_pattern(tmp_path):
     assert "cons-free: True" in done.stdout.splitlines()
 
 
+def test_run_matches_a_long_list_pattern(tmp_path):
+    # the one rule matches the whole list: f (0 ; 1 ; ... ; []) -> f []
+    path = tmp_path / "long.atrs"
+    path.write_text(long_pattern_system(3000))
+    text = "f (" + " ; ".join("01"[i % 2] for i in range(3000)) + " ; [])"
+    done = subprocess.run(
+        [sys.executable, "-m", "consfree.cli", "run", str(path), "--term", text,
+         "--max-term-size", "40000"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "exhausted=false visited=2"
+
+
 def test_600_element_input_is_answered_by_run_and_refused_by_solve():
     done = run_majority_subprocess("run", "--term", majority_of_ones(600))
     assert done.returncode == 0

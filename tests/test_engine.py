@@ -21,7 +21,7 @@ from consfree.engine import (
 from consfree.syntax import parse_atrs
 from consfree.terms import is_data, print_term
 
-from conftest import load, term
+from conftest import NESTED_PRODUCTS, corpus_text, load, term
 
 EITHER = parse_atrs(
     "sort nat ;\ncons o : nat ;\ncons s : nat => nat ;\n"
@@ -85,18 +85,30 @@ def test_outermost_rewrites_the_head_first():
 
 
 @pytest.mark.parametrize(
-    "name,text,pinned",
+    "source,text,pinned",
     [
-        ("majority.atrs", "majority (1;0;1;0;1;[])", (183, "206f38a36be73643")),
-        ("sat.atrs", "decide (1;?;#;?;0;#;[])", (183, "88185d2914566e02")),
+        (corpus_text("majority.atrs"), "majority (1;0;1;0;1;[])", (183, "206f38a36be73643")),
+        (corpus_text("sat.atrs"), "decide (1;?;#;?;0;#;[])", (183, "88185d2914566e02")),
+        # repeated variables: equal xl xl, and t t in shift1
+        (
+            corpus_text("nonlinear_tm.atrs"),
+            "shift1 st_accept nil 0 (cc 0 (cc rnd nil)) R rnd (cc rnd nil) (cc rnd nil)",
+            (183, "e2091f8274ca7f36"),
+        ),
+        # variable-headed right-hand sides, partial application, and a
+        # contractum applied to further spine arguments
+        (corpus_text("ho_apply.atrs"), "decide (0;1;[])", (183, "bdc34277dc740253")),
+        (corpus_text("hocount.atrs"), "fsucc (set nul (s o) 1) o (s o)", (183, "4f0c32cfb82430d3")),
+        # nested pair patterns
+        (NESTED_PRODUCTS, "start (1 ; [])", (183, "abdcee8c99d6737c")),
     ],
-    ids=["majority", "sat"],
+    ids=["majority", "sat", "nonlinear_tm", "ho_apply", "hocount", "nested_products"],
 )
-def test_options_and_searches_keep_their_digest(name, text, pinned):
+def test_options_and_searches_keep_their_digest(source, text, pinned):
     # the exactness gate: ordered one-step options and normality along
     # seeded walks (a normal form restarts the walk), then each strategy's
     # search with its traces, which must replay
-    atrs = load(name)
+    atrs = parse_atrs(source)
     start = term(text, atrs)
     lines = []
     for strategy in STRATEGIES:

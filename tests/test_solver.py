@@ -31,7 +31,7 @@ from consfree.terms import Arrow, PairHead, Product, Sort, pair, print_term, sym
 from consfree.tm import simulate_tm
 from consfree.validation import BSet, NotBasic, compute_B, prune_ho_constructors
 
-from conftest import CORPUS, TESTS, corpus_text, load, term
+from conftest import CORPUS, NESTED_PRODUCTS, TESTS, corpus_text, load, term
 
 SATURATING = [
     ("majority.atrs", "majority (1 ; 0 ; [])"),
@@ -46,17 +46,6 @@ SATURATING = [
     ("ho_apply.atrs", "decide (1 ; [])"),
     ("consfree_fsucc.atrs", "main (s (s o)) (s (s o))"),
 ]
-
-
-NESTED_PRODUCTS = (
-    "pairing ;\nsort symb list ;\ncons 0 : symb ;\ncons 1 : symb ;\n"
-    "cons [] : list ;\ncons cons : symb => list => list ;\n"
-    "fun g : list => symb * (symb * symb) ;\n"
-    "fun f : symb * (symb * symb) => symb ;\nfun start : list => symb ;\n"
-    "rule g (c ; cs) -> (c , (0 , c)) ;\n"
-    "rule f (x , (y , z)) -> y ;\nrule f (x , p) -> x ;\n"
-    "rule start cs -> f (g cs) ;\n"
-)
 
 
 @pytest.mark.parametrize("name,text", SATURATING)

@@ -6,13 +6,17 @@ import gc
 import pickle
 import sys
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from consfree.engine import Engine
 from consfree.syntax import encode_input
 from consfree import terms
 from consfree.terms import (
     Arrow,
+    Atrs,
+    Matcher,
     Product,
+    Rule,
     Sort,
     FuncSym,
     Variable,
@@ -127,6 +131,93 @@ def test_nonlinear_match_requires_equal_arguments():
     assert match(p, sym_term(F, nat(2), nat(3))) is None
 
 
+# a head with a pair argument, rules of 1, 2 and 3 patterns, and terms with
+# 2 or 3 arguments
+PAIR_NAT = Product(NAT, NAT)
+H = FuncSym("h", fn_type([PAIR_NAT, NAT, NAT], NAT), "fun")
+K = FuncSym("k", fn_type([NAT, NAT], NAT), "fun")
+NAT_VARS = [Variable(name, NAT) for name in "xyz"]
+PAIR_VAR = Variable("p", PAIR_NAT)
+
+
+def reference_match(patterns, args):
+    """The substitution matching patterns against args, or None, by
+    recursion over the patterns."""
+    subst = {}
+
+    def walk(p, t):
+        if isinstance(p.head, Variable) and not p.args:
+            return subst.setdefault(p.head, t) is t
+        return p.head == t.head and all(walk(q, u) for q, u in zip(p.args, t.args))
+
+    return subst if all(walk(p, t) for p, t in zip(patterns, args)) else None
+
+
+@st.composite
+def nat_patterns(draw, depth=3):
+    choice = draw(st.integers(0, 2 if depth else 1))
+    if choice == 0:
+        return sym_term(draw(st.sampled_from(NAT_VARS)))
+    if choice == 1:
+        return sym_term(O)
+    return sym_term(S, draw(nat_patterns(depth - 1)))
+
+
+@st.composite
+def rules(draw, name):
+    arity = draw(st.integers(1, 3))
+    first = draw(
+        st.just(sym_term(PAIR_VAR)) | st.builds(pair, nat_patterns(), nat_patterns())
+    )
+    lhs = sym_term(H, first, *[draw(nat_patterns()) for _ in range(arity - 1)])
+    bound = [sym_term(v) for v in NAT_VARS if v in variables(lhs)] + [nat(1)]
+    # a right-hand side of the type left over, so that contracting a
+    # shorter rule applies its contractum to the remaining arguments
+    rhs = sym_term(K, *[draw(st.sampled_from(bound)) for _ in range(arity - 1)])
+    if arity == 3 and draw(st.booleans()):
+        rhs = draw(st.sampled_from(bound))
+    return Rule(lhs, rhs, name)
+
+
+@st.composite
+def spines(draw):
+    small = st.integers(0, 3).map(nat)
+    args = [pair(draw(small), draw(small)), draw(small), draw(small)]
+    return sym_term(H, *args[: draw(st.integers(2, 3))])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(*[rules(f"r{i}") for i in range(n)])),
+    spines(),
+)
+def test_compiled_matching_agrees_with_a_recursive_matcher(drawn, t):
+    atrs = Atrs(("nat",), {f.name: f for f in (O, S, H, K)}, list(drawn), pairing=True)
+    expected = []
+    for rule in atrs.rules:
+        if rule.arity <= len(t.args):
+            subst = reference_match(rule.lhs.args, t.args)
+            if subst is not None:
+                contractum = apply_term(apply_subst(rule.rhs, subst), *t.args[rule.arity:])
+                expected.append((rule.name, subst, contractum))
+    engine = Engine(atrs)
+    found = []
+    for match in engine.node_matches(t):
+        compiled, env = match
+        bound = {v: env[slot] for v, slot in compiled.match.slots.items()}
+        found.append((compiled.name, bound, engine.contract(t, match)))
+    assert found == expected
+    # the matcher alone, comparing every head itself
+    for rule in atrs.rules:
+        if rule.arity <= len(t.args):
+            matcher, env = Matcher(rule.lhs.args), list(t.args[: rule.arity])
+            subst = reference_match(rule.lhs.args, t.args)
+            if matcher(t.args, env):
+                assert subst == {v: env[slot] for v, slot in matcher.slots.items()}
+            else:
+                assert subst is None
+
+
 def test_classification():
     assert classify(nat(2)) == "data"
     assert is_basic(sym_term(F, nat(1), nat(0)))
@@ -163,6 +254,9 @@ def test_equal_terms_are_one_object(majority):
     assert hash(a) == object.__hash__(a)
     assert copy.deepcopy(b) is b
     assert pickle.loads(pickle.dumps(b)) is b
+    # a copied pair keeps the one pair marker, so it is the same term
+    assert copy.deepcopy(pair(a, b)) is pair(a, b)
+    assert pickle.loads(pickle.dumps(pair(a, b))) is pair(a, b)
 
 
 def test_the_intern_table_holds_its_terms_weakly():
