@@ -210,7 +210,7 @@ class HeadRules:
                 rule
                 for rule, required in self.rules
                 if rule.arity <= n
-                and all(key[k] is head or key[k] == head for k, head in required)
+                and all(key[k] is head for k, head in required)
             )
         return found
 

@@ -56,6 +56,7 @@ group table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -486,8 +487,8 @@ class Solver:
                 return group.value if i >= group.last else group.at(i)
 
             return static, True
-        name = head.name
-        read = self._tabulate if isinstance(t.type, Arrow) else self._read
+        name, ty = head.name, t.type
+        read = partial(self._tabulate, ty=ty) if isinstance(ty, Arrow) else self._read
 
         def call(i, env, deps):
             args = []
@@ -573,24 +574,20 @@ class Solver:
             raise _Blocked()
         return group.value if i >= group.last else group.at(i)
 
-    def _tabulate(self, i: int, name: str, prefix: Tuple[Repr, ...], deps: set) -> FnRepr:
-        """The table at step i of `name prefix` over its next argument."""
-        head = self.symbols[name]
-        types = arg_types(head.type)
-        next_ty = types[len(prefix)]
-        remaining = head.type
-        for _ in range(len(prefix)):
-            remaining = remaining.res
-        fn_space = self.space(remaining)
-        dom = self.space(next_ty)
+    def _tabulate(
+        self, i: int, name: str, prefix: Tuple[Repr, ...], deps: set, ty: Arrow
+    ) -> FnRepr:
+        """The table at step i of `name prefix`, of type ty, over its next
+        argument."""
+        dom, res = self.space(ty.arg), ty.res
         table = []
         for index in range(dom.card):
             extended = prefix + (dom.elem_at(index),)
-            if len(extended) == head.arity:
-                table.append(self._read(i, name, extended, deps))
+            if isinstance(res, Arrow):
+                table.append(self._tabulate(i, name, extended, deps, res))
             else:
-                table.append(self._tabulate(i, name, extended, deps))
-        return FnRepr(fn_space, tuple(table))
+                table.append(self._read(i, name, extended, deps))
+        return FnRepr(self.space(ty), tuple(table))
 
     # -- statements -----------------------------------------------------
 

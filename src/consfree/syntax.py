@@ -148,8 +148,6 @@ def _unify(a, b) -> None:
     if isinstance(b, _MetaVar):
         _unify(b, a)
         return
-    if isinstance(a, Sort) and isinstance(b, Sort) and a.name == b.name:
-        return
     if isinstance(a, Arrow) and isinstance(b, Arrow):
         _unify(a.arg, b.arg)
         _unify(a.res, b.res)
@@ -489,6 +487,8 @@ def print_atrs(atrs: Atrs) -> str:
         lines.append("pairing ;")
     for sym in atrs.symbols.values():
         lines.append(f"{sym.kind} {sym.name} : {sym.type} ;")
+    for name, ty in atrs.var_decls.items():
+        lines.append(f"var {name} : {ty} ;")
     for rule in atrs.rules:
         lines.append(f"rule {print_term(rule.lhs)} -> {print_term(rule.rhs)} ;")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,10 @@
 """Simple types, signatures, and applicative terms in spine form.
 
-Terms are hash-consed: building a term equal to one that is alive returns
-that object, so equal terms are one object, `==` and `hash` are identity,
-and the derived fields (size, whether the term is data, its printed text)
-are computed once per node from its children, without recursion.
+Types, symbols, variables and terms are hash-consed in one weak table:
+building one equal to an object that is alive returns that object, so equal
+objects are one object and `==` and `hash` are identity. A term's derived
+fields (size, whether the term is data, its printed text) are computed once
+per node from its children, without recursion.
 """
 
 from __future__ import annotations
@@ -33,33 +34,71 @@ class PrintError(TermError):
     """A term has no concrete-syntax rendering."""
 
 
-class SimpleType:
-    """Base class for simple types with products.
+class _Entry(weakref.ref):
+    """A weak reference to an interned object that knows its table key."""
 
-    Each type computes its hash once, in `__post_init__`, from its fields'
-    hashes, so a type-keyed lookup does not walk the type. Copies and
-    unpickled types are built afresh, so they hash afresh."""
+    __slots__ = ("key",)
 
-    def __hash__(self) -> int:
-        return self._hash
+
+# (head, args) -> the entry of the live term with that head and those
+# arguments, whose type follows from the two; (class, *fields) -> the entry
+# of the live type, symbol, variable or pair marker with those fields
+_TABLE: Dict[Tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry) -> None:
+    if _TABLE.get(entry.key) is entry:
+        del _TABLE[entry.key]
+
+
+class _Interned:
+    """Base class of interned syntax objects: constructing one with the same
+    class and fields as a live one returns that object, so equal objects are
+    one object and `==` and `hash` are identity. Fields are the subclass's
+    slots, in constructor order, and cannot be assigned. Copies and unpickled
+    objects are rebuilt through the constructor, so they are interned too."""
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        entry = _TABLE.get(key)
+        if entry is not None:
+            found = entry()
+            if found is not None:
+                return found
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields, strict=True):
+            object.__setattr__(obj, name, value)
+        entry = _TABLE[key] = _Entry(obj, _forget)
+        entry.key = key
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name} of {type(self).__name__}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class SimpleType(_Interned):
+    """Base class for simple types with products."""
+
+    __slots__ = ()
 
     def order(self) -> int:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Sort(SimpleType):
     """Base type: a declared sort name."""
 
+    __slots__ = ("name",)
     name: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.name,)))
-
-    __hash__ = SimpleType.__hash__
 
     def order(self) -> int:
         return 0
@@ -68,17 +107,12 @@ class Sort(SimpleType):
         return self.name
 
 
-@dataclass(frozen=True)
 class Arrow(SimpleType):
     """Function type: arg => res (right-associative)."""
 
+    __slots__ = ("arg", "res")
     arg: SimpleType
     res: SimpleType
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.arg, self.res)))
-
-    __hash__ = SimpleType.__hash__
 
     def order(self) -> int:
         return max(self.arg.order() + 1, self.res.order())
@@ -88,17 +122,12 @@ class Arrow(SimpleType):
         return f"{arg} => {self.res}"
 
 
-@dataclass(frozen=True)
 class Product(SimpleType):
     """Pair type: left * right (right-associative, binds tighter than =>)."""
 
+    __slots__ = ("left", "right")
     left: SimpleType
     right: SimpleType
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
-
-    __hash__ = SimpleType.__hash__
 
     def order(self) -> int:
         return max(self.left.order(), self.right.order())
@@ -144,17 +173,13 @@ CONSTRUCTOR = "cons"
 DEFINED = "fun"
 
 
-@dataclass(frozen=True)
-class FuncSym:
+class FuncSym(_Interned):
     """A declared function symbol: constructor or defined symbol."""
 
+    __slots__ = ("name", "type", "kind")
     name: str
     type: SimpleType
     kind: str  # CONSTRUCTOR or DEFINED
-
-    def __hash__(self) -> int:
-        # the name alone: hashing the type would walk it on every lookup
-        return hash(self.name)
 
     @property
     def arity(self) -> int:
@@ -168,26 +193,21 @@ class FuncSym:
         return self.name
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(_Interned):
     """A typed variable."""
 
+    __slots__ = ("name", "type")
     name: str
     type: SimpleType
-
-    def __hash__(self) -> int:
-        return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
 
 
-class PairHead:
+class PairHead(_Interned):
     """Singleton head marker for pair terms."""
 
-    def __reduce__(self):
-        # copies and unpickled pairs keep the one marker
-        return "PAIR"
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "(,)"
@@ -199,22 +219,6 @@ class PairHead:
 PAIR = PairHead()
 
 Head = Union[FuncSym, Variable, PairHead]
-
-
-class _Entry(weakref.ref):
-    """A weak reference to an interned term that knows its table key."""
-
-    __slots__ = ("key",)
-
-
-# (head, args) -> the entry of the live term with that head and those
-# arguments; the type follows from the two, so it is not part of the key
-_TABLE: Dict[Tuple, _Entry] = {}
-
-
-def _forget(entry: _Entry) -> None:
-    if _TABLE.get(entry.key) is entry:
-        del _TABLE[entry.key]
 
 
 class Term:
@@ -384,9 +388,9 @@ class Matcher:
     binds append them. Positions are read through registers: registers
     0..arity-1 hold the arguments and each load appends the child of an
     earlier register, so a pattern of any depth is matched by flat loops.
-    A repeated variable is tested by identity, which is equality since
-    terms are hash-consed. Heads are compared with `==` (identity first),
-    except those at depth `known` or less, which the caller has compared.
+    A repeated variable and a head are tested by identity, which is
+    equality since terms and symbols are hash-consed. Heads at depth
+    `known` or less are not tested: the caller has compared them.
     Well-typed terms with equal heads at a position have equally many
     arguments there, so only heads are compared.
     """
@@ -431,18 +435,15 @@ class Matcher:
         """Match args[:arity]; env holds those arguments, and each bind
         appends its term to it."""
         for i, head in self.heads:
-            found = args[i].head
-            if found is not head and found != head:
+            if args[i].head is not head:
                 return False
         nodes = args
         if self.loads:
             nodes = list(args[: self.arity])
             for reg, j, head in self.loads:
                 node = nodes[reg].args[j]
-                if head is not None:
-                    found = node.head
-                    if found is not head and found != head:
-                        return False
+                if head is not None and node.head is not head:
+                    return False
                 nodes.append(node)
         for reg, j in self.binds:
             env.append(nodes[reg].args[j])

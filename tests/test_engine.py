@@ -1,7 +1,10 @@
 """Rewrite engine: reducts, strategies, bounded search, traces."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +24,7 @@ from consfree.engine import (
 from consfree.syntax import parse_atrs
 from consfree.terms import is_data, print_term
 
-from conftest import NESTED_PRODUCTS, corpus_text, load, term
+from conftest import CORPUS, NESTED_PRODUCTS, TESTS, corpus_text, load, term
 
 EITHER = parse_atrs(
     "sort nat ;\ncons o : nat ;\ncons s : nat => nat ;\n"
@@ -84,30 +87,34 @@ def test_outermost_rewrites_the_head_first():
     assert {print_term(u) for u in outer} == {"either o (s o)", "o"}
 
 
-@pytest.mark.parametrize(
-    "source,text,pinned",
-    [
-        (corpus_text("majority.atrs"), "majority (1;0;1;0;1;[])", (183, "206f38a36be73643")),
-        (corpus_text("sat.atrs"), "decide (1;?;#;?;0;#;[])", (183, "88185d2914566e02")),
-        # repeated variables: equal xl xl, and t t in shift1
-        (
-            corpus_text("nonlinear_tm.atrs"),
-            "shift1 st_accept nil 0 (cc 0 (cc rnd nil)) R rnd (cc rnd nil) (cc rnd nil)",
-            (183, "e2091f8274ca7f36"),
-        ),
-        # variable-headed right-hand sides, partial application, and a
-        # contractum applied to further spine arguments
-        (corpus_text("ho_apply.atrs"), "decide (0;1;[])", (183, "bdc34277dc740253")),
-        (corpus_text("hocount.atrs"), "fsucc (set nul (s o) 1) o (s o)", (183, "4f0c32cfb82430d3")),
-        # nested pair patterns
-        (NESTED_PRODUCTS, "start (1 ; [])", (183, "abdcee8c99d6737c")),
-    ],
-    ids=["majority", "sat", "nonlinear_tm", "ho_apply", "hocount", "nested_products"],
-)
-def test_options_and_searches_keep_their_digest(source, text, pinned):
-    # the exactness gate: ordered one-step options and normality along
-    # seeded walks (a normal form restarts the walk), then each strategy's
-    # search with its traces, which must replay
+# name -> (source, start term, pinned line count and digest prefix)
+DIGEST_CASES = {
+    "majority": (
+        corpus_text("majority.atrs"), "majority (1;0;1;0;1;[])", (183, "206f38a36be73643")
+    ),
+    "sat": (corpus_text("sat.atrs"), "decide (1;?;#;?;0;#;[])", (183, "88185d2914566e02")),
+    # repeated variables: equal xl xl, and t t in shift1
+    "nonlinear_tm": (
+        corpus_text("nonlinear_tm.atrs"),
+        "shift1 st_accept nil 0 (cc 0 (cc rnd nil)) R rnd (cc rnd nil) (cc rnd nil)",
+        (183, "e2091f8274ca7f36"),
+    ),
+    # variable-headed right-hand sides, partial application, and a
+    # contractum applied to further spine arguments
+    "ho_apply": (corpus_text("ho_apply.atrs"), "decide (0;1;[])", (183, "bdc34277dc740253")),
+    "hocount": (
+        corpus_text("hocount.atrs"), "fsucc (set nul (s o) 1) o (s o)", (183, "4f0c32cfb82430d3")
+    ),
+    # nested pair patterns
+    "nested_products": (NESTED_PRODUCTS, "start (1 ; [])", (183, "abdcee8c99d6737c")),
+}
+
+
+def engine_digest(source, text):
+    """The exactness gate: ordered one-step options and normality along
+    seeded walks (a normal form restarts the walk), then each strategy's
+    search with its traces, which must replay; the line count and a digest
+    prefix."""
     atrs = parse_atrs(source)
     start = term(text, atrs)
     lines = []
@@ -135,7 +142,35 @@ def test_options_and_searches_keep_their_digest(source, text, pinned):
             sorted((print_term(nf), steps) for nf, steps in result.traces.items()),
         )))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert (len(lines), digest[:16]) == pinned
+    return len(lines), digest[:16]
+
+
+@pytest.mark.parametrize("case", DIGEST_CASES)
+def test_options_and_searches_keep_their_digest(case):
+    source, text, pinned = DIGEST_CASES[case]
+    assert engine_digest(source, text) == pinned
+
+
+def test_the_engine_digest_does_not_depend_on_the_hash_seed():
+    # symbols and types hash by identity, so set order follows memory
+    # addresses; every digest case, in one child per seed
+    script = (
+        "import test_engine\n"
+        "for case, (source, text, pinned) in test_engine.DIGEST_CASES.items():\n"
+        "    print(case, test_engine.engine_digest(source, text) == pinned)\n"
+    )
+    expected = [word for case in DIGEST_CASES for word in (case, "True")]
+    for seed in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = seed
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(CORPUS.parents[1]), str(TESTS), os.environ.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert done.stdout.split() == expected, (seed, done.stdout, done.stderr)
 
 
 def test_unknown_strategy_is_rejected(majority):

@@ -22,7 +22,7 @@ from consfree.syntax import (
 from consfree.terms import Arrow, Product, Sort, TermError, TypeMismatch, print_term
 from consfree.tm import TMError
 
-from conftest import CORPUS, corpus_text, load, term
+from conftest import CORPUS, corpus_text, term
 
 ATRS_FILES = sorted(p.name for p in CORPUS.glob("*.atrs"))
 TM_FILES = sorted(p.name for p in CORPUS.glob("*.tm"))
@@ -33,9 +33,20 @@ def test_corpus_is_present():
     assert set(TM_FILES) == {"contains1.tm", "parity.tm"}
 
 
-@pytest.mark.parametrize("name", ATRS_FILES)
-def test_atrs_round_trip(name):
-    atrs = load(name)
+# a system with variable declarations, which no corpus file has
+VAR_DECLS = (
+    "sort nat ;\ncons o : nat ;\nfun k : nat => nat => nat ;\n"
+    "var y : nat ;\nvar g : nat => nat ;\nrule k x o -> x ;\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [corpus_text(name) for name in ATRS_FILES] + [VAR_DECLS],
+    ids=ATRS_FILES + ["var_decls"],
+)
+def test_atrs_round_trip(source):
+    atrs = parse_atrs(source)
     printed = print_atrs(atrs)
     again = parse_atrs(printed)
     assert print_atrs(again) == printed
@@ -45,6 +56,7 @@ def test_atrs_round_trip(name):
         (r.lhs, r.rhs, r.name) for r in atrs.rules
     ]
     assert again.pairing == atrs.pairing
+    assert again.var_decls == atrs.var_decls
 
 
 @pytest.mark.parametrize("name", TM_FILES)

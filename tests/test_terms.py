@@ -6,15 +6,17 @@ import gc
 import pickle
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from consfree.engine import Engine
-from consfree.syntax import encode_input
+from consfree.syntax import encode_input, parse_atrs
 from consfree import terms
 from consfree.terms import (
     Arrow,
     Atrs,
     Matcher,
+    PAIR,
     Product,
     Rule,
     Sort,
@@ -36,6 +38,8 @@ from consfree.terms import (
     sym_term,
     variables,
 )
+
+from conftest import corpus_text
 
 NAT = Sort("nat")
 SYMB = Sort("symb")
@@ -257,6 +261,24 @@ def test_equal_terms_are_one_object(majority):
     # a copied pair keeps the one pair marker, so it is the same term
     assert copy.deepcopy(pair(a, b)) is pair(a, b)
     assert pickle.loads(pickle.dumps(pair(a, b))) is pair(a, b)
+    assert pair(a, b).type is Product(a.type, b.type)
+    # types, symbols and variables are interned too: two parses of one
+    # source share their sorts, symbols and variable heads
+    first, second = (parse_atrs(corpus_text("majority.atrs")) for _ in range(2))
+    for name, sym in first.symbols.items():
+        assert second.symbols[name] is sym
+    assert second.symbols["majority"].type is Arrow(Sort("list"), Sort("symb"))
+    for rule, again in zip(first.rules, second.rules):
+        assert {id(v) for v in variables(again.lhs)} == {id(v) for v in variables(rule.lhs)}
+    assert Arrow(NAT, SYMB) is Arrow(Sort("nat"), Sort("symb"))
+    for obj in [PAIR_NAT, Arrow(NAT, SYMB), F, NAT_VARS[0], PAIR]:
+        assert copy.copy(obj) is obj
+        assert copy.deepcopy(obj) is obj
+        assert pickle.loads(pickle.dumps(obj)) is obj
+        assert hash(obj) == object.__hash__(obj)
+    for obj, name in [(NAT, "name"), (PAIR_NAT, "left"), (F, "type"), (NAT_VARS[0], "name")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
 
 
 def test_the_intern_table_holds_its_terms_weakly():
@@ -271,6 +293,11 @@ def test_the_intern_table_holds_its_terms_weakly():
     gc.collect()
     assert len(terms._TABLE) == before
     assert sym_term(O) is base
+    symbols = [FuncSym(f"fresh{k}", NAT, "cons") for k in range(10_000)]
+    assert len(terms._TABLE) == before + 10_000
+    del symbols
+    gc.collect()
+    assert len(terms._TABLE) == before
 
 
 def test_long_list_without_recursion(majority):
