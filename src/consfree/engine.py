@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .syntax import encode_input
 from .terms import (
     Atrs,
     FuncSym,
@@ -16,7 +15,6 @@ from .terms import (
     Variable,
     is_data,
     print_term,
-    sym_term,
 )
 
 
@@ -32,10 +30,6 @@ class BudgetTooSmallForRoot(Exception):
 
 class NonReplayableTrace(Exception):
     """A recorded trace does not replay against the system."""
-
-
-class MissingDecideSymbol(Exception):
-    """The system lacks the decide / true / false interface."""
 
 
 Step = Tuple[str, Tuple[int, ...]]  # rule name, spine-argument path
@@ -308,7 +302,12 @@ class Engine:
 def search_data_normal_forms(
     t: Term, atrs: Atrs, strategy: str = FREE, budget: Optional[Budget] = None
 ) -> SearchResult:
-    """Breadth-first search of the reduct space of t for data normal forms."""
+    """Breadth-first search of the reduct space of t for data normal forms.
+
+    Terms are visited in the order they are generated: each level's terms in
+    the order they were found, and each term's options in `step_options`'
+    order. A term's parent is the term it was first found from, one level
+    up, so every witness trace is a shortest reduction to its normal form."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     budget = budget or Budget()
@@ -317,7 +316,6 @@ def search_data_normal_forms(
             f"the start term has {t.size} nodes, budget allows {budget.max_term_size}"
         )
     engine = Engine(atrs)
-    visited: Set[Term] = {t}
     parents: Dict[Term, Optional[Tuple[Term, str, Tuple[int, ...]]]] = {t: None}
     frontier: List[Term] = [t]
     normal_forms: Set[Term] = set()
@@ -325,7 +323,7 @@ def search_data_normal_forms(
     depth = 0
     while frontier:
         next_frontier: List[Term] = []
-        for u in sorted(frontier, key=print_term):
+        for u in frontier:
             options = engine.step_options(u, strategy)
             if not options:
                 if is_data(u):
@@ -334,18 +332,12 @@ def search_data_normal_forms(
             if depth >= budget.max_steps:
                 exhausted = True
                 continue
-            for reduct, name, path in sorted(
-                options, key=lambda o: (print_term(o[0]), o[1], o[2])
-            ):
-                if reduct in visited:
+            for reduct, name, path in options:
+                if reduct in parents:
                     continue
-                if reduct.size > budget.max_term_size:
+                if reduct.size > budget.max_term_size or len(parents) >= budget.max_terms:
                     exhausted = True
                     continue
-                if len(visited) >= budget.max_terms:
-                    exhausted = True
-                    continue
-                visited.add(reduct)
                 parents[reduct] = (u, name, path)
                 next_frontier.append(reduct)
         frontier = next_frontier
@@ -359,45 +351,7 @@ def search_data_normal_forms(
             steps.append((name, path))
             node = parent
         traces[nf] = list(reversed(steps))
-    return SearchResult(
-        t, strategy, frozenset(normal_forms), exhausted, len(visited), traces
-    )
-
-
-def _decide_interface(atrs: Atrs) -> Tuple[FuncSym, Term, Term]:
-    decide = atrs.symbols.get("decide")
-    true = atrs.symbols.get("true")
-    false = atrs.symbols.get("false")
-    if decide is None or decide.is_constructor:
-        raise MissingDecideSymbol("the system has no defined symbol decide")
-    if true is None or false is None or not true.is_constructor or not false.is_constructor:
-        raise MissingDecideSymbol("the system lacks the constructors true and false")
-    return decide, sym_term(true), sym_term(false)
-
-
-@dataclass
-class DecideResult:
-    """A three-valued verdict, with a nondeterminism warning."""
-
-    answer: str  # "true", "false", or "unknown"
-    nondeterministic: bool
-    search: SearchResult
-
-
-def decide(atrs: Atrs, x: str, budget: Optional[Budget] = None) -> DecideResult:
-    """Decide the input: true if reachable, false only on a complete search."""
-    decide_sym, true, false = _decide_interface(atrs)
-    start = sym_term(decide_sym, encode_input(x, atrs))
-    search = search_data_normal_forms(start, atrs, FREE, budget)
-    found = search.data_normal_forms
-    nondeterministic = len(found) > 1
-    if true in found:
-        answer = "true"
-    elif search.exhausted:
-        answer = "unknown"
-    else:
-        answer = "false"
-    return DecideResult(answer, nondeterministic, search)
+    return SearchResult(t, strategy, frozenset(normal_forms), exhausted, len(parents), traces)
 
 
 def _rewrite_at(

@@ -14,9 +14,7 @@ from consfree.engine import (
     Budget,
     BudgetTooSmallForRoot,
     Engine,
-    MissingDecideSymbol,
     NonReplayableTrace,
-    decide,
     replay_trace,
     search_data_normal_forms,
     validate_semi_outermost,
@@ -92,7 +90,7 @@ DIGEST_CASES = {
     "majority": (
         corpus_text("majority.atrs"), "majority (1;0;1;0;1;[])", (183, "206f38a36be73643")
     ),
-    "sat": (corpus_text("sat.atrs"), "decide (1;?;#;?;0;#;[])", (183, "88185d2914566e02")),
+    "sat": (corpus_text("sat.atrs"), "decide (1;?;#;?;0;#;[])", (183, "e8ac95b70add8293")),
     # repeated variables: equal xl xl, and t t in shift1
     "nonlinear_tm": (
         corpus_text("nonlinear_tm.atrs"),
@@ -103,7 +101,7 @@ DIGEST_CASES = {
     # contractum applied to further spine arguments
     "ho_apply": (corpus_text("ho_apply.atrs"), "decide (0;1;[])", (183, "bdc34277dc740253")),
     "hocount": (
-        corpus_text("hocount.atrs"), "fsucc (set nul (s o) 1) o (s o)", (183, "4f0c32cfb82430d3")
+        corpus_text("hocount.atrs"), "fsucc (set nul (s o) 1) o (s o)", (183, "6dfdc22f70742d6e")
     ),
     # nested pair patterns
     "nested_products": (NESTED_PRODUCTS, "start (1 ; [])", (183, "abdcee8c99d6737c")),
@@ -173,6 +171,50 @@ def test_the_engine_digest_does_not_depend_on_the_hash_seed():
         assert done.stdout.split() == expected, (seed, done.stdout, done.stderr)
 
 
+def level_distances(atrs, start, strategy):
+    """Each term reachable from start, with its distance, one level at a time."""
+    engine = Engine(atrs)
+    distance, level, d = {start: 0}, {start}, 0
+    while level:
+        d += 1
+        level = {
+            u for t in level for u, _, _ in engine.step_options(t, strategy) if u not in distance
+        }
+        distance.update(dict.fromkeys(level, d))
+    return distance
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("case", DIGEST_CASES)
+def test_every_witness_is_a_shortest_reduction(case, strategy):
+    source, text, _ = DIGEST_CASES[case]
+    atrs = parse_atrs(source)
+    start = term(text, atrs)
+    result = search_data_normal_forms(start, atrs, strategy)
+    distance = level_distances(atrs, start, strategy)
+    assert not result.exhausted and result.visited == len(distance)
+    engine = Engine(atrs)
+    assert result.data_normal_forms == {
+        u for u in distance if is_data(u) and not engine.step_options(u, strategy)
+    }
+    for nf, steps in result.traces.items():
+        assert len(steps) == distance[nf]
+        assert replay_trace(start, steps, atrs)[-1] == nf
+
+
+def test_the_search_never_prints(monkeypatch):
+    def refuse(t):
+        raise AssertionError("the search printed a term")
+
+    source, text, _ = DIGEST_CASES["sat"]
+    atrs = parse_atrs(source)
+    start = term(text, atrs)
+    monkeypatch.setattr("consfree.engine.print_term", refuse)
+    for strategy in STRATEGIES:
+        result = search_data_normal_forms(start, atrs, strategy)
+        assert len(result.data_normal_forms) == 2
+
+
 def test_unknown_strategy_is_rejected(majority):
     with pytest.raises(ValueError):
         search_data_normal_forms(term("majority []", majority), majority, "weird")
@@ -206,6 +248,16 @@ def test_budgets_cause_exhaustion_not_wrong_answers(sat):
     wide = search_data_normal_forms(t, sat, "free", Budget(200, 100000, 300))
     assert tight.exhausted
     assert tight.data_normal_forms <= wide.data_normal_forms
+    # an exhausted search may miss a normal form, but never claims one
+    contains1 = load("contains1.atrs")
+    true, false = term("true", contains1), term("false", contains1)
+    has_1 = term("decide (0 ; 1 ; [])", contains1)
+    found = search_data_normal_forms(has_1, contains1)
+    assert true in found.data_normal_forms and not found.exhausted
+    missed = search_data_normal_forms(term("decide (0 ; 0 ; [])", contains1), contains1)
+    assert missed.data_normal_forms == {false} and not missed.exhausted
+    cut = search_data_normal_forms(has_1, contains1, "free", Budget(1, 100000, 5000))
+    assert cut.exhausted and true not in cut.data_normal_forms
 
 
 def test_root_larger_than_budget_is_an_error(majority):
@@ -287,17 +339,3 @@ def test_semi_outermost_validates_a_601_step_trace(succ_system):
     s = term("succ (" + "1 ; " * 600 + "[])", succ_system)
     steps = [("r3", (1,) * k) for k in range(600)] + [("r1", (1,) * 600)]
     assert validate_semi_outermost(s, steps, succ_system)
-
-
-def test_decide_is_three_valued():
-    system = load("contains1.atrs")
-    assert decide(system, "01").answer == "true"
-    assert decide(system, "00").answer == "false"
-    # true not found before the budget ran out
-    cut = decide(system, "01", Budget(1, 100000, 5000))
-    assert cut.search.exhausted and cut.answer == "unknown"
-
-
-def test_decide_requires_the_interface(succ_system):
-    with pytest.raises(MissingDecideSymbol):
-        decide(succ_system, "1")

@@ -9,9 +9,10 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consfree.compiler import compile_tm
-from consfree.engine import Budget, search_data_normal_forms
+from consfree.engine import STRATEGIES, Budget, search_data_normal_forms
 from consfree.modules import module_selftest, parse_module_expr
 from consfree.solver import (
     NonBSafeTerm,
@@ -56,6 +57,29 @@ def test_solve_matches_the_engine(name, text):
     assert not oracle.exhausted
     result = solve(atrs, s)
     assert set(result.normal_forms) == set(oracle.data_normal_forms)
+
+
+DECIDERS = sorted({name for name, text in SATURATING if text.startswith("decide")})
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(DECIDERS), st.text(alphabet="01", max_size=4))
+def test_solve_matches_the_engine_on_drawn_inputs(name, x):
+    atrs = load(name)
+    s = term("decide (" + "".join(f"{c} ; " for c in x) + "[])", atrs)
+    found = {strategy: search_data_normal_forms(s, atrs, strategy) for strategy in STRATEGIES}
+    free = found["free"].data_normal_forms
+    assert not found["free"].exhausted
+    assert found["innermost"].data_normal_forms <= free
+    assert found["outermost"].data_normal_forms <= free
+    try:
+        result = solve(atrs, s)
+    except ReprSpaceTooLarge as err:
+        # the second-order argument's space, list => bool, has 4 ** 2 ** (n + 1)
+        # members over an input of length n: past the default budget from n = 3
+        assert name == "ho_apply.atrs" and err.cardinality == 4 ** 2 ** (len(x) + 1)
+    else:
+        assert set(result.normal_forms) == set(free)
 
 
 def test_solve_rejects_non_cons_free(succ_system):
