@@ -248,7 +248,11 @@ def test_budgets_cause_exhaustion_not_wrong_answers(sat):
     wide = search_data_normal_forms(t, sat, "free", Budget(200, 100000, 300))
     assert tight.exhausted
     assert tight.data_normal_forms <= wide.data_normal_forms
-    # an exhausted search may miss a normal form, but never claims one
+
+
+def test_decide_is_three_valued():
+    # true found, only false found, or cut short: an exhausted search may
+    # miss a normal form, but never claims one
     contains1 = load("contains1.atrs")
     true, false = term("true", contains1), term("false", contains1)
     has_1 = term("decide (0 ; 1 ; [])", contains1)
