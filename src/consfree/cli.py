@@ -111,6 +111,7 @@ def cmd_solve(args) -> int:
                     "exhausted": False,
                     "steps": result.steps,
                     "statements": result.statements,
+                    "stats": result.solver.stats(),
                 }
             )
         )

@@ -31,6 +31,12 @@ it read, while it has an unconfirmed statement, and at no other step, so at
 strictly increasing steps; each evaluation that confirms a statement stores
 a (step, value) snapshot, so the group's value at any step is stored.
 
+Inside the solver every value is an int: at a sort or a product, a bit mask
+over the targets (a pair's bit is its left component's position times the
+right size plus its right component's), and at an arrow type, its index in
+its `FnSpace`. Frozensets and `FnRepr` tables exist only at the boundary,
+through `encode` and `decode`.
+
 A solver is built over a fixed data universe B, and each rule's right-hand
 side, padded to full arity, is compiled once, at construction, in one
 recursive pass into a tree of closures (closure generation), one per node.
@@ -57,7 +63,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .terms import (
@@ -121,7 +126,7 @@ Repr = Union[FrozenSet, "FnRepr"]
 
 
 class SetSpace:
-    """Subsets of a fixed, ordered universe of data elements."""
+    """Subsets of a fixed, ordered universe; bit k of a mask is universe[k]."""
 
     def __init__(self, ty: SimpleType, universe: Sequence):
         self.type = ty
@@ -129,16 +134,11 @@ class SetSpace:
         self.card = 2 ** len(self.universe)
         self._position = {elem: i for i, elem in enumerate(self.universe)}
 
-    def index_of(self, value: FrozenSet) -> int:
-        mask = 0
-        for elem in value:
-            mask |= 1 << self._position[elem]
-        return mask
+    def encode(self, value: FrozenSet) -> int:
+        return sum(1 << self._position[elem] for elem in value)
 
-    def elem_at(self, index: int) -> FrozenSet:
-        return frozenset(
-            elem for i, elem in enumerate(self.universe) if index >> i & 1
-        )
+    def decode(self, mask: int) -> FrozenSet:
+        return frozenset(self.universe[k] for k in _bits(mask))
 
 
 @dataclass(frozen=True)
@@ -148,19 +148,10 @@ class FnRepr:
     space: "FnSpace" = field(compare=False, hash=False, repr=False)
     table: Tuple = ()
 
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(self.table)
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def apply(self, arg: Repr) -> Repr:
-        return self.table[self.space.dom.index_of(arg)]
-
 
 class FnSpace:
-    """All functions from one space into another, in tabulated form."""
+    """All functions from one space into another; digit x of an index, in
+    base the codomain's card, is the value at domain element x."""
 
     def __init__(self, ty: SimpleType, dom, cod):
         self.type = ty
@@ -168,20 +159,27 @@ class FnSpace:
         self.cod = cod
         self.card = cod.card ** dom.card
 
-    def index_of(self, value: FnRepr) -> int:
-        index = 0
-        weight = 1
+    def encode(self, value: FnRepr) -> int:
+        index, weight = 0, 1
         for entry in value.table:
-            index += self.cod.index_of(entry) * weight
+            index += self.cod.encode(entry) * weight
             weight *= self.cod.card
         return index
 
-    def elem_at(self, index: int) -> FnRepr:
+    def decode(self, index: int) -> FnRepr:
         table = []
         for _ in range(self.dom.card):
-            table.append(self.cod.elem_at(index % self.cod.card))
-            index //= self.cod.card
+            index, digit = divmod(index, self.cod.card)
+            table.append(self.cod.decode(digit))
         return FnRepr(self, tuple(table))
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def build_space(ty: SimpleType, B: BSet, budget: int, cache: Dict) -> object:
@@ -270,7 +268,8 @@ def within_cardinality_bound(value: int, ty: SimpleType, N: int) -> bool:
 
 @dataclass(frozen=True)
 class Stmt:
-    """A statement `f A1 .. Am ~> target` over representations."""
+    """A statement `f A1 .. Am ~> target` over representations; its args are
+    the decoded views, frozensets of data terms and `FnRepr` tables."""
 
     fname: str
     args: Tuple[Repr, ...]
@@ -278,45 +277,46 @@ class Stmt:
 
 
 class _Group:
-    """The statements `fname args ~> t` for each of its `count` targets t.
-    `history` holds a (step, value) snapshot for each evaluation that
-    confirmed a target, at strictly increasing steps, and is the only record
-    of confirmations: the group's value at step i is that of the last
-    snapshot at a step <= i. `value` and `last` are the latest snapshot's,
-    so `value` is the group's value at every step from `last` on. The group
-    is open while fewer than `count` targets are confirmed. `plans` are the
-    rule instances, built on first evaluation. `deps` are the groups its
-    last evaluation read, `dependents` the groups whose evaluations read it,
-    and `wake` the step of its next evaluation, if one is due: its values
-    are known through step i exactly when no evaluation of it is due at a
-    step <= i."""
+    """The statements `fname args ~> t` for each of its `count` targets t,
+    where args are the int codes of the arguments and every value is a bit
+    mask over the targets. `history` holds a (step, value) snapshot for each
+    evaluation that confirmed a target, at strictly increasing steps, and is
+    the only record of confirmations: the group's value at step i is that of
+    the last snapshot at a step <= i. `value` and `last` are the latest
+    snapshot's, so `value` is the group's value at every step from `last`
+    on. The group is open while fewer than `count` targets are confirmed.
+    `plans` are the rule instances, built on first evaluation. `deps` is a
+    tuple of the groups its last evaluation read, `dependents` the groups
+    whose evaluations read it, and `wake` the step of its next evaluation,
+    if one is due: its values are known through step i exactly when no
+    evaluation of it is due at a step <= i."""
 
     __slots__ = (
         "fname", "args", "count", "history", "value", "last", "plans", "deps",
         "dependents", "wake",
     )
 
-    def __init__(self, fname: str, args: Tuple[Repr, ...], count: int) -> None:
+    def __init__(self, fname: str, args: Tuple[int, ...], count: int) -> None:
         self.fname = fname
         self.args = args
         self.count = count
-        self.history: List[Tuple[int, FrozenSet]] = []
-        self.value: FrozenSet = frozenset()
+        self.history: List[Tuple[int, int]] = []
+        self.value = 0
         self.last = 0
         self.plans: Optional[List[Tuple["Code", List]]] = None
-        self.deps: set = set()
+        self.deps: Tuple["_Group", ...] = ()
         self.dependents: Dict["_Group", None] = {}
         self.wake: Optional[int] = None
 
     @property
     def open(self) -> bool:
-        return len(self.value) < self.count
+        return self.value.bit_count() < self.count
 
-    def at(self, i: int) -> FrozenSet:
+    def at(self, i: int) -> int:
         """The group's value at step i."""
         if i >= self.last:
             return self.value
-        value = frozenset()
+        value = 0
         for step, snapshot in self.history:
             if step > i:
                 break
@@ -329,11 +329,11 @@ class _Blocked(Exception):
     through."""
 
 
-# A compiled term: code(i, env, deps) is the term's representation at step i,
-# where env holds a rule instance's arguments, its matched patterns'
+# A compiled term: code(i, env, deps) is the int code of the term's value at
+# step i, where env holds a rule instance's arguments, its matched patterns'
 # variables and the group of each static call site, or a query's variables;
 # it adds every group it reads to deps.
-Code = Callable[[int, List, set], Repr]
+Code = Callable[[int, List, set], int]
 
 
 @dataclass
@@ -363,10 +363,11 @@ class Solver:
         self.space_budget = space_budget
         self.spaces: Dict[SimpleType, object] = {}
         self.symbols = self.atrs.symbols
-        # per query term, its code and variable names; per data term, its
-        # singleton; per head, its rules compiled
-        self._queries: Dict[Term, Tuple[Code, List[str]]] = {}
-        self._singletons: Dict[Term, FrozenSet] = {}
+        # per query term, its code and variables; per term of B, its
+        # position among the terms of its type; per head, its rules compiled
+        self._queries: Dict[Term, Tuple[Code, List[Tuple[str, SimpleType]]]] = {}
+        types = {t.type for t in B.terms}
+        self._position = {t: k for ty in types for k, t in enumerate(B.of_type(ty))}
         self._compiled: Dict[str, List[Tuple]] = {}
         for rule in self.atrs.rules:
             if isinstance(rule.lhs.head, FuncSym):
@@ -377,23 +378,36 @@ class Solver:
         # _demanded: statements over all groups; _confirmed: statements
         # confirmed; _due[k]: the worklist's groups to evaluate at step k, for
         # each k through step + 1, the highest step a schedule names, and
-        # none of them below _low
+        # none of them below _low; _evaluations and _blocked: rule unions
+        # returned and abandoned
         self._demanded = 0
         self._confirmed = 0
+        self._evaluations = self._blocked = 0
         self._due: List[List[_Group]] = [[], []]
         self._low = 1
 
     @property
     def confirmed_at(self) -> Dict[Stmt, int]:
         """Every confirmed statement and the step that first confirmed it,
-        built from the groups' histories on each access: the earliest
+        decoded from the groups' histories on each access: the earliest
         snapshot that holds a target is written last."""
-        return {
-            Stmt(group.fname, group.args, target): at
-            for group in self.groups.values()
-            for at, value in reversed(group.history)
-            for target in value
-        }
+        confirmed: Dict[Stmt, int] = {}
+        views: Dict[Tuple[SimpleType, int], Repr] = {}
+        for group in self.groups.values():
+            if group.history:
+                args = self.decode_args(group.fname, group.args, views)
+                ty = result_type(self.symbols[group.fname].type)
+                for at, value in reversed(group.history):
+                    for target in self.decode(ty, value):
+                        confirmed[Stmt(group.fname, args, target)] = at
+        return confirmed
+
+    def stats(self) -> Dict[str, int]:
+        """The solver's counters: statements demanded and confirmed, groups,
+        and rule unions returned and abandoned by a blocked read."""
+        return {"demanded": self._demanded, "confirmed": self._confirmed,
+                "groups": len(self.groups), "evaluations": self._evaluations,
+                "blocked": self._blocked}
 
     # -- spaces and targets ---------------------------------------------
 
@@ -417,24 +431,63 @@ class Solver:
             total += product * len(self.targets(result_type(sym.type)))
         return total
 
-    # -- data representations -------------------------------------------
+    # -- data representations and the boundary --------------------------
 
-    def _singleton(self, t: Term) -> FrozenSet:
-        """The singleton of a data term whose components lie in B, one object
-        per term."""
-        value = self._singletons.get(t)
+    def _size(self, ty: SimpleType) -> int:
+        """The number of data terms of a sort or product of sorts."""
+        if isinstance(ty, Product):
+            return self._size(ty.left) * self._size(ty.right)
+        return len(self.B.of_type(ty))
+
+    def _index(self, t: Term) -> int:
+        """The position of a data term whose components lie in B among the
+        data terms of its type: the bit that stands for it."""
+        if isinstance(t.head, PairHead):
+            right = self._index(t.args[1])
+            return self._index(t.args[0]) * self._size(t.type.right) + right
+        k = self._position.get(t)
+        if k is None:
+            raise NonBSafeTerm(f"data term {print_term(t)} lies outside the universe")
+        return k
+
+    def _member(self, ty: SimpleType, k: int) -> Term:
+        """The data term at position k of a sort or product of sorts."""
+        if isinstance(ty, Product):
+            left, right = divmod(k, self._size(ty.right))
+            return pair(self._member(ty.left, left), self._member(ty.right, right))
+        return self.B.of_type(ty)[k]
+
+    def encode(self, ty: SimpleType, value: Optional[Repr]) -> Optional[int]:
+        """The int code of a representation of type ty; None stays None."""
         if value is None:
-            stack = [t]
-            while stack:
-                u = stack.pop()
-                if isinstance(u.head, PairHead):
-                    stack += u.args
-                elif u not in self.B:
-                    raise NonBSafeTerm(
-                        f"data term {print_term(u)} lies outside the universe"
-                    )
-            value = self._singletons[t] = frozenset((t,))
-        return value
+            return None
+        if isinstance(ty, Arrow):
+            return self.space(ty).encode(value)
+        return sum(1 << self._index(t) for t in value)
+
+    def decode(self, ty: SimpleType, code: int) -> Repr:
+        """The representation of type ty that code stands for."""
+        if isinstance(ty, Arrow):
+            return self.space(ty).decode(code)
+        return frozenset(self._member(ty, k) for k in _bits(code))
+
+    def decode_args(
+        self, fname: str, args: Tuple[int, ...], views: Optional[Dict] = None
+    ) -> Tuple[Repr, ...]:
+        """The representations of the coded arguments of a call of fname;
+        given views, equal arguments decode to one shared object kept there."""
+        views = {} if views is None else views
+        keys = list(zip(arg_types(self.symbols[fname].type), args))
+        for key in keys:
+            if key not in views:
+                views[key] = self.decode(*key)
+        return tuple(views[key] for key in keys)
+
+    def _demand(self, stmt: Stmt) -> _Group:
+        """The group of a statement, demanding it."""
+        types = arg_types(self.symbols[stmt.fname].type)
+        args = tuple(self.encode(ty, a) for ty, a in zip(types, stmt.args))
+        return self._group(stmt.fname, args)
 
     # -- compiling terms ------------------------------------------------
 
@@ -450,7 +503,7 @@ class Solver:
         head = t.head
         if t.is_data:
             try:
-                value = self._singleton(t)
+                value = 1 << self._index(t)
                 return (lambda i, env, deps: value), False
             except NonBSafeTerm:
                 pass  # compiled below, to raise when evaluated
@@ -458,14 +511,16 @@ class Solver:
         codes = [code for code, _ in compiled]
         calls = any(called for _, called in compiled)
         if isinstance(head, Variable):
-            name, slot = head.name, slots[head.name]
+            name, slot, spaces = head.name, slots[head.name], self.spaces
 
             def variable(i, env, deps):
                 value = env[slot]
                 if value is None:
                     raise UnboundVariable(f"variable {name} is not bound")
+                space = spaces[head.type]  # built before any value of its type
                 for code in codes:
-                    value = value.apply(code(i, env, deps))
+                    space = space.cod
+                    value = value // space.card ** code(i, env, deps) % space.card
                 return value
 
             def lookup(i, env, deps):
@@ -500,32 +555,41 @@ class Solver:
 
     def _compile_data(self, t: Term, codes: List[Code]) -> Code:
         """The code of a pair or constructor term t that is not a constant of
-        B: its head applied to each choice of argument values. A constructor
-        term's value must be one data term of B; in a rule instance its
-        variables are bound to singletons."""
+        B: its head applied to each choice of argument values. A pair's mask
+        holds, for each bit k of its left value, its right value shifted by k
+        times the right size. A constructor term's value must be one data
+        term of B; in a rule instance its variables are bound to singletons."""
         head, ty = t.head, t.type
         if isinstance(head, PairHead):
-            return lambda i, env, deps: frozenset(
-                [pair(left, right) for left, right in product(*[c(i, env, deps) for c in codes])]
-            )
-        singleton = self._singleton
+            left, right = codes
+            size = self._size(ty.right)
+
+            def pairs(i, env, deps):
+                lefts, rights = left(i, env, deps), right(i, env, deps)
+                return sum(rights << k * size for k in _bits(lefts))
+
+            return pairs
+        index, member = self._index, self._member
+        types = [a.type for a in t.args]
 
         def build(i, env, deps):
-            built = [Term(head, args, ty) for args in product(*[c(i, env, deps) for c in codes])]
-            if len(built) != 1:
+            values = [c(i, env, deps) for c in codes]
+            if any(value.bit_count() != 1 for value in values):
                 raise NonBSafeTerm(f"{print_term(t)} does not denote one data term")
-            return singleton(built[0])
+            args = tuple(member(a, v.bit_length() - 1) for a, v in zip(types, values))
+            return 1 << index(Term(head, args, ty))
 
         return build
 
     def _compile_rule(self, rule: Rule) -> Tuple:
         """The rule's right-hand side, padded to its head's full arity, as
         code; its constructor and pair patterns with their argument indices,
-        ground ones first, each other one with its matcher and the slots of
-        the matcher's variables; the slots by variable name; and the static
-        call sites. Slot j holds argument j, under a top-level variable's or
-        pad's name or, for a pattern, a placeholder, and the patterns'
-        variables follow, in each matcher's bind order."""
+        ground ones first, each ground one with its bit (0 outside B), each
+        other one with its type, its matcher and the slots of the matcher's
+        variables; the slots by variable name; and the static call sites.
+        Slot j holds argument j, under a top-level variable's or pad's name
+        or, for a pattern, a placeholder, and the patterns' variables follow,
+        in each matcher's bind order."""
         head = rule.lhs.head
         types = arg_types(head.type)
         pads = tuple(
@@ -541,28 +605,32 @@ class Solver:
                 matched.append((j, pattern))
         matched.sort(key=lambda m: not m[1].is_data)
         for n, (j, pattern) in enumerate(matched):
-            matcher, targets = None, ()
-            if not pattern.is_data:
+            if pattern.is_data:
+                try:
+                    matched[n] = (j, 1 << self._index(pattern), None, None, ())
+                except NonBSafeTerm:
+                    matched[n] = (j, 0, None, None, ())
+            else:
                 matcher = Matcher((pattern,))
                 targets = tuple(slots.setdefault(v.name, len(slots)) for v in matcher.slots)
-            matched[n] = (j, pattern, matcher, targets)
+                matched[n] = (j, 0, types[j], matcher, targets)
         sites: List[Tuple[str, List[Code]]] = []
         code, _ = self._compile(apply_term(rule.rhs, *pads), slots, sites)
         return code, matched, slots, sites
 
-    def _query(self, t: Term) -> Tuple[Code, List[str]]:
-        """The code of a query term, compiled on first use, and the names of
-        its variables in slot order."""
+    def _query(self, t: Term) -> Tuple[Code, List[Tuple[str, SimpleType]]]:
+        """The code of a query term, compiled on first use, and the names and
+        types of its variables in slot order."""
         found = self._queries.get(t)
         if found is None:
-            names = sorted({v.name for v in variables(t)})
-            slots = {name: k for k, name in enumerate(names)}
+            names = sorted({v.name: v.type for v in variables(t)}.items())
+            slots = {name: k for k, (name, _) in enumerate(names)}
             found = self._queries[t] = (self._compile(t, slots, None)[0], names)
         return found
 
     # -- evaluation -----------------------------------------------------
 
-    def _read(self, i: int, name: str, args: Tuple[Repr, ...], deps: set) -> FrozenSet:
+    def _read(self, i: int, name: str, args: Tuple[int, ...], deps: set) -> int:
         """The value at step i of the group `name args`, demanding it and
         adding it to deps. Reading it at a step its values are not known
         through raises _Blocked."""
@@ -575,45 +643,48 @@ class Solver:
         return group.value if i >= group.last else group.at(i)
 
     def _tabulate(
-        self, i: int, name: str, prefix: Tuple[Repr, ...], deps: set, ty: Arrow
-    ) -> FnRepr:
-        """The table at step i of `name prefix`, of type ty, over its next
-        argument."""
-        dom, res = self.space(ty.arg), ty.res
-        table = []
-        for index in range(dom.card):
-            extended = prefix + (dom.elem_at(index),)
+        self, i: int, name: str, prefix: Tuple[int, ...], deps: set, ty: Arrow
+    ) -> int:
+        """The index at step i of `name prefix`, of type ty, over its next
+        argument: domain element x, coded as x, contributes the value of
+        `name prefix x` times the codomain's card to the power x."""
+        space, res = self.space(ty), ty.res
+        card = space.cod.card
+        index, weight = 0, 1
+        for x in range(space.dom.card):
             if isinstance(res, Arrow):
-                table.append(self._tabulate(i, name, extended, deps, res))
+                value = self._tabulate(i, name, prefix + (x,), deps, res)
             else:
-                table.append(self._read(i, name, extended, deps))
-        return FnRepr(self.space(ty), tuple(table))
+                value = self._read(i, name, prefix + (x,), deps)
+            index += value * weight
+            weight *= card
+        return index
 
     # -- statements -----------------------------------------------------
 
-    def plans(self, fname: str, args: Tuple[Repr, ...]) -> List:
+    def plans(self, fname: str, args: Tuple[int, ...]) -> List:
         """The rule instances for `fname args`, demanding the groups of their
         static call sites. An instance is a rule's code, shared by its
         instances, with an env: a copy of the arguments, then, one instance
         per choice of a member matching each constructor or pair pattern,
-        that pattern's variables bound to singleton data values, then the
-        group of each static call site. A ground pattern matches exactly when
-        its argument holds it."""
+        that pattern's variables bound to singletons, then the group of each
+        static call site. A ground pattern matches exactly when its argument
+        has its bit set."""
         plans = []
         for code, matched, slots, sites in self._compiled.get(fname, ()):
             envs = [[*args, *[None] * (len(slots) - len(args))]]
-            for j, pattern, matcher, targets in matched:
+            for j, bit, ty, matcher, targets in matched:
                 if matcher is None:
-                    if pattern in args[j]:
+                    if args[j] & bit:
                         continue
                     envs = []
                     break
                 matches = []
-                for member in args[j]:
-                    found = [member]
-                    if matcher((member,), found):
+                for k in _bits(args[j]):
+                    found = [self._member(ty, k)]
+                    if matcher((found[0],), found):
                         matches.append(
-                            [(slot, self._singleton(d)) for slot, d in zip(targets, found[1:])]
+                            [(slot, 1 << self._index(d)) for slot, d in zip(targets, found[1:])]
                         )
                 extended = []
                 for env in envs:
@@ -631,16 +702,16 @@ class Solver:
 
     def rule_union(self, j: int, group: _Group):
         """Everything any rule instance for the group's call can produce at
-        step j, and the groups read to find it."""
+        step j, as a mask, and the groups read to find it."""
         if group.plans is None:
             group.plans = self.plans(group.fname, group.args)
         deps: set = set()
-        out: set = set()
+        out = 0
         for code, env in group.plans:
             out |= code(j - 1, env, deps)
         return out, deps
 
-    def _group(self, fname: str, args: Tuple[Repr, ...]) -> _Group:
+    def _group(self, fname: str, args: Tuple[int, ...]) -> _Group:
         """The group of `fname args ~> t` for every target t, demanding it: a
         group with targets is due at step 1."""
         group = self.groups.get((fname, args))
@@ -654,9 +725,10 @@ class Solver:
 
     def conf(self, i: int, stmt: Stmt) -> bool:
         """Whether the statement is confirmed at step i."""
-        group = self._group(stmt.fname, stmt.args)
+        group = self._demand(stmt)
         self._fixpoint([])
-        return stmt.target in group.at(i)
+        ty = result_type(self.symbols[stmt.fname].type)
+        return stmt.target in self.decode(ty, group.at(i))
 
     def _schedule(self, group: _Group, step: int) -> None:
         group.wake = step
@@ -667,7 +739,8 @@ class Solver:
     def _evaluate(self, group: _Group, step: int) -> None:
         """Evaluate the group at step, reading the values at step-1."""
         union, deps = self.rule_union(step, group)
-        group.deps = deps
+        self._evaluations += 1
+        group.deps = deps = tuple(deps)
         group.wake = None
         wake = None
         for dep in deps:
@@ -678,12 +751,12 @@ class Solver:
                 at = next(at for at, _ in dep.history if at >= step)
                 if wake is None or at < wake:
                     wake = at
-        fresh = union - group.value
+        fresh = union & ~group.value
         if fresh:
-            group.value = group.value | fresh
+            group.value |= fresh
             group.last = step
             group.history.append((step, group.value))
-            self._confirmed += len(fresh)
+            self._confirmed += fresh.bit_count()
         if wake is not None and group.open:
             self._schedule(group, wake + 1)
         if not fresh:
@@ -721,15 +794,16 @@ class Solver:
             try:
                 self._evaluate(group, k)
             except _Blocked:
+                self._blocked += 1
                 self._schedule(group, k)
 
-    def _fixpoint(self, queries: List[Tuple[Code, List]]) -> List[Repr]:
+    def _fixpoint(self, queries: List[Tuple[Code, List]]) -> List[int]:
         """Run layers until one confirms and demands nothing new and the
         queries' values repeat; returns those values. Layer L = step + 1
         evaluates only the groups due at L, those that read a statement
         confirmed at L-1 and those demanded on the way (due at step 1), and
         then the queries at L."""
-        previous: Optional[List[Repr]] = None
+        previous: Optional[List[int]] = None
         rounds = 0
         while True:
             before = (self._confirmed, self._demanded)
@@ -757,19 +831,21 @@ class Solver:
         """Demand the seeds and run layers to the fixpoint; returns the step
         of the last layer."""
         for stmt in seeds:
-            self._group(stmt.fname, stmt.args)
+            self._demand(stmt)
         self._fixpoint([])
         return self.step
 
     def evaluate(self, queries: List[Tuple[Term, Dict[str, Repr]]]) -> List[Repr]:
         """Evaluate terms under environments, dicts from variable names to
         representations, at the stable table, extending the demanded
-        fragment as needed."""
+        fragment as needed; the environments are encoded and the values
+        decoded here."""
         compiled = []
         for t, eta in queries:
             code, names = self._query(t)
-            compiled.append((code, [eta.get(name) for name in names]))
-        return self._fixpoint(compiled)
+            compiled.append((code, [self.encode(ty, eta.get(name)) for name, ty in names]))
+        values = self._fixpoint(compiled)
+        return [self.decode(t.type, value) for (t, _), value in zip(queries, values)]
 
 
 def solvable(atrs: Atrs) -> Atrs:
@@ -801,12 +877,13 @@ def solve(
     head = s.head
     if head.name not in solver.symbols:
         raise NotBasic(f"{head.name} was pruned from the system")
-    args = tuple(solver._singleton(arg) for arg in s.args)
+    args = tuple(1 << solver._index(arg) for arg in s.args)
     res_ty = result_type(head.type)
-    seeds = [Stmt(head.name, args, target) for target in solver.targets(res_ty)]
+    views = solver.decode_args(head.name, args)
+    seeds = [Stmt(head.name, views, target) for target in solver.targets(res_ty)]
     steps = solver.advance_to_fixpoint(seeds)
     seed = solver.groups.get((head.name, args))
-    found = list(seed.value) if seed is not None else []
+    found = solver.decode(res_ty, seed.value) if seed is not None else ()
     return SolveResult(
         sorted(found, key=print_term),
         steps,

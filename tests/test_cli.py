@@ -200,6 +200,9 @@ def test_solve_json(capsys):
     assert payload["exhausted"] is False
     assert payload["statements"] == 1168
     assert payload["steps"] >= 1
+    assert payload["stats"] == {
+        "demanded": 12, "confirmed": 6, "groups": 6, "evaluations": 11, "blocked": 0,
+    }
 
 
 def test_solve_non_cons_free_is_exit_1(capsys):
