@@ -31,11 +31,12 @@ it read, while it has an unconfirmed statement, and at no other step, so at
 strictly increasing steps; each evaluation that confirms a statement stores
 a (step, value) snapshot, so the group's value at any step is stored.
 
-Inside the solver every value is an int: at a sort or a product, a bit mask
-over the targets (a pair's bit is its left component's position times the
-right size plus its right component's), and at an arrow type, its index in
-its `FnSpace`. Frozensets and `FnRepr` tables exist only at the boundary,
-through `encode` and `decode`.
+Inside the solver every value is an int, and only the solver codes it: at a
+sort or a product, a bit mask over the type's data terms (a pair's bit is its
+left component's rank times the right size plus its right component's), and
+at an arrow type, an index whose digit x, in base the codomain's card, codes
+the value at domain element x. Spaces keep only sizes. Frozensets and
+`FnRepr` tables exist only at the boundary, through `encode` and `decode`.
 
 A solver is built over a fixed data universe B, and each rule's right-hand
 side, padded to full arity, is compiled once, at construction, in one
@@ -126,52 +127,30 @@ Repr = Union[FrozenSet, "FnRepr"]
 
 
 class SetSpace:
-    """Subsets of a fixed, ordered universe; bit k of a mask is universe[k]."""
+    """Subsets of the `size` data terms of a sort or product of sorts, as
+    bit masks."""
 
-    def __init__(self, ty: SimpleType, universe: Sequence):
+    def __init__(self, ty: SimpleType, size: int):
         self.type = ty
-        self.universe = tuple(universe)
-        self.card = 2 ** len(self.universe)
-        self._position = {elem: i for i, elem in enumerate(self.universe)}
-
-    def encode(self, value: FrozenSet) -> int:
-        return sum(1 << self._position[elem] for elem in value)
-
-    def decode(self, mask: int) -> FrozenSet:
-        return frozenset(self.universe[k] for k in _bits(mask))
+        self.size = size
+        self.card = 2 ** size
 
 
 @dataclass(frozen=True)
 class FnRepr:
     """A tabulated function: table[i] is the value at domain element i."""
 
-    space: "FnSpace" = field(compare=False, hash=False, repr=False)
     table: Tuple = ()
 
 
 class FnSpace:
-    """All functions from one space into another; digit x of an index, in
-    base the codomain's card, is the value at domain element x."""
+    """All functions from one space into another, as indices."""
 
     def __init__(self, ty: SimpleType, dom, cod):
         self.type = ty
         self.dom = dom
         self.cod = cod
         self.card = cod.card ** dom.card
-
-    def encode(self, value: FnRepr) -> int:
-        index, weight = 0, 1
-        for entry in value.table:
-            index += self.cod.encode(entry) * weight
-            weight *= self.cod.card
-        return index
-
-    def decode(self, index: int) -> FnRepr:
-        table = []
-        for _ in range(self.dom.card):
-            index, digit = divmod(index, self.cod.card)
-            table.append(self.cod.decode(digit))
-        return FnRepr(self, tuple(table))
 
 
 def _bits(mask: int):
@@ -188,14 +167,16 @@ def build_space(ty: SimpleType, B: BSet, budget: int, cache: Dict) -> object:
     if space is not None:
         return space
     if isinstance(ty, Sort):
-        space = SetSpace(ty, B.of_type(ty))
+        space = SetSpace(ty, len(B.of_type(ty)))
     elif isinstance(ty, Product):
+        size = 1
         for comp in flatten_product(ty):
             if not isinstance(comp, Sort):
                 raise NotProductConsFree(
                     f"product type {ty} has a functional component"
                 )
-        space = SetSpace(ty, _members(ty, B))
+            size *= len(B.of_type(comp))
+        space = SetSpace(ty, size)
     else:
         dom = build_space(ty.arg, B, budget, cache)
         cod = build_space(ty.res, B, budget, cache)
@@ -204,15 +185,6 @@ def build_space(ty: SimpleType, B: BSet, budget: int, cache: Dict) -> object:
         raise ReprSpaceTooLarge(ty, space.card, budget)
     cache[ty] = space
     return space
-
-
-def _members(ty: SimpleType, B: BSet) -> List[Term]:
-    """The data terms of a sort or product of sorts: pairs in lexicographic
-    order of their components."""
-    if isinstance(ty, Sort):
-        return B.of_type(ty)
-    right = _members(ty.right, B)
-    return [pair(left, r) for left in _members(ty.left, B) for r in right]
 
 
 def repr_cardinality(ty: SimpleType, sort_sizes: Dict[str, int]) -> int:
@@ -277,14 +249,15 @@ class Stmt:
 
 
 class _Group:
-    """The statements `fname args ~> t` for each of its `count` targets t,
-    where args are the int codes of the arguments and every value is a bit
-    mask over the targets. `history` holds a (step, value) snapshot for each
-    evaluation that confirmed a target, at strictly increasing steps, and is
-    the only record of confirmations: the group's value at step i is that of
-    the last snapshot at a step <= i. `value` and `last` are the latest
-    snapshot's, so `value` is the group's value at every step from `last`
-    on. The group is open while fewer than `count` targets are confirmed.
+    """The statements `fname args ~> t` for each of the `count` data terms t
+    of the result type, where args are the int codes of the arguments and
+    every value is a bit mask over those terms. `history` holds a (step,
+    value) snapshot for each evaluation that confirmed a statement, at
+    strictly increasing steps, and is the only record of confirmations: the
+    group's value at step i is that of the last snapshot at a step <= i.
+    `value` and `last` are the latest snapshot's, so `value` is the group's
+    value at every step from `last` on. The group is open while fewer than
+    `count` statements are confirmed.
     `plans` are the rule instances, built on first evaluation. `deps` is a
     tuple of the groups its last evaluation read, `dependents` the groups
     whose evaluations read it, and `wake` the step of its next evaluation,
@@ -363,11 +336,11 @@ class Solver:
         self.space_budget = space_budget
         self.spaces: Dict[SimpleType, object] = {}
         self.symbols = self.atrs.symbols
-        # per query term, its code and variables; per term of B, its
-        # position among the terms of its type; per head, its rules compiled
+        # per query term, its code and variables; per term of B, its rank
+        # among the terms of its type; per head, its rules compiled
         self._queries: Dict[Term, Tuple[Code, List[Tuple[str, SimpleType]]]] = {}
         types = {t.type for t in B.terms}
-        self._position = {t: k for ty in types for k, t in enumerate(B.of_type(ty))}
+        self._rank = {t: k for ty in types for k, t in enumerate(B.of_type(ty))}
         self._compiled: Dict[str, List[Tuple]] = {}
         for rule in self.atrs.rules:
             if isinstance(rule.lhs.head, FuncSym):
@@ -409,17 +382,17 @@ class Solver:
                 "groups": len(self.groups), "evaluations": self._evaluations,
                 "blocked": self._blocked}
 
-    # -- spaces and targets ---------------------------------------------
+    # -- spaces and sizes -----------------------------------------------
 
     def space(self, ty: SimpleType):
         return build_space(ty, self.B, self.space_budget, self.spaces)
 
-    def targets(self, ty: SimpleType) -> Sequence[Term]:
-        if isinstance(ty, Sort):
-            return self.B.of_type(ty)
+    def _count(self, ty: SimpleType) -> int:
+        """The number of data terms of a sort or product of sorts, building
+        a product's space, so that its budget is checked."""
         if isinstance(ty, Product):
-            return self.space(ty).universe
-        raise NotBasic(f"{ty} is not a base type")
+            return self.space(ty).size
+        return len(self.B.of_type(ty))
 
     def statement_count(self) -> int:
         """The arithmetic number of statements over all defined symbols."""
@@ -428,7 +401,7 @@ class Solver:
             product = 1
             for ty in arg_types(sym.type):
                 product *= self.space(ty).card
-            total += product * len(self.targets(result_type(sym.type)))
+            total += product * self._count(result_type(sym.type))
         return total
 
     # -- data representations and the boundary --------------------------
@@ -445,7 +418,7 @@ class Solver:
         if isinstance(t.head, PairHead):
             right = self._index(t.args[1])
             return self._index(t.args[0]) * self._size(t.type.right) + right
-        k = self._position.get(t)
+        k = self._rank.get(t)
         if k is None:
             raise NonBSafeTerm(f"data term {print_term(t)} lies outside the universe")
         return k
@@ -461,15 +434,25 @@ class Solver:
         """The int code of a representation of type ty; None stays None."""
         if value is None:
             return None
-        if isinstance(ty, Arrow):
-            return self.space(ty).encode(value)
-        return sum(1 << self._index(t) for t in value)
+        if not isinstance(ty, Arrow):
+            return sum(1 << self._index(t) for t in value)
+        card = self.space(ty).cod.card
+        index, weight = 0, 1
+        for entry in value.table:
+            index += self.encode(ty.res, entry) * weight
+            weight *= card
+        return index
 
     def decode(self, ty: SimpleType, code: int) -> Repr:
         """The representation of type ty that code stands for."""
-        if isinstance(ty, Arrow):
-            return self.space(ty).decode(code)
-        return frozenset(self._member(ty, k) for k in _bits(code))
+        if not isinstance(ty, Arrow):
+            return frozenset(self._member(ty, k) for k in _bits(code))
+        space = self.space(ty)
+        table = []
+        for _ in range(space.dom.card):
+            code, digit = divmod(code, space.cod.card)
+            table.append(self.decode(ty.res, digit))
+        return FnRepr(tuple(table))
 
     def decode_args(
         self, fname: str, args: Tuple[int, ...], views: Optional[Dict] = None
@@ -482,12 +465,6 @@ class Solver:
             if key not in views:
                 views[key] = self.decode(*key)
         return tuple(views[key] for key in keys)
-
-    def _demand(self, stmt: Stmt) -> _Group:
-        """The group of a statement, demanding it."""
-        types = arg_types(self.symbols[stmt.fname].type)
-        args = tuple(self.encode(ty, a) for ty, a in zip(types, stmt.args))
-        return self._group(stmt.fname, args)
 
     # -- compiling terms ------------------------------------------------
 
@@ -612,8 +589,8 @@ class Solver:
                     matched[n] = (j, 0, None, None, ())
             else:
                 matcher = Matcher((pattern,))
-                targets = tuple(slots.setdefault(v.name, len(slots)) for v in matcher.slots)
-                matched[n] = (j, 0, types[j], matcher, targets)
+                bound = tuple(slots.setdefault(v.name, len(slots)) for v in matcher.slots)
+                matched[n] = (j, 0, types[j], matcher, bound)
         sites: List[Tuple[str, List[Code]]] = []
         code, _ = self._compile(apply_term(rule.rhs, *pads), slots, sites)
         return code, matched, slots, sites
@@ -673,7 +650,7 @@ class Solver:
         plans = []
         for code, matched, slots, sites in self._compiled.get(fname, ()):
             envs = [[*args, *[None] * (len(slots) - len(args))]]
-            for j, bit, ty, matcher, targets in matched:
+            for j, bit, ty, matcher, bound in matched:
                 if matcher is None:
                     if args[j] & bit:
                         continue
@@ -684,15 +661,15 @@ class Solver:
                     found = [self._member(ty, k)]
                     if matcher((found[0],), found):
                         matches.append(
-                            [(slot, 1 << self._index(d)) for slot, d in zip(targets, found[1:])]
+                            [(slot, 1 << self._index(d)) for slot, d in zip(bound, found[1:])]
                         )
                 extended = []
                 for env in envs:
                     for match in matches:
-                        bound = env.copy()
+                        copy = env.copy()
                         for slot, value in match:
-                            bound[slot] = value
-                        extended.append(bound)
+                            copy[slot] = value
+                        extended.append(copy)
                 envs = extended
             for env in envs:
                 for name, codes in sites:
@@ -712,11 +689,11 @@ class Solver:
         return out, deps
 
     def _group(self, fname: str, args: Tuple[int, ...]) -> _Group:
-        """The group of `fname args ~> t` for every target t, demanding it: a
-        group with targets is due at step 1."""
+        """The group of `fname args ~> t` for every data term t, demanding it:
+        a group with a statement is due at step 1."""
         group = self.groups.get((fname, args))
         if group is None:
-            count = len(self.targets(result_type(self.symbols[fname].type)))
+            count = self._count(result_type(self.symbols[fname].type))
             group = self.groups[(fname, args)] = _Group(fname, args, count)
             self._demanded += count
             if count:
@@ -724,11 +701,13 @@ class Solver:
         return group
 
     def conf(self, i: int, stmt: Stmt) -> bool:
-        """Whether the statement is confirmed at step i."""
-        group = self._demand(stmt)
-        self._fixpoint([])
-        ty = result_type(self.symbols[stmt.fname].type)
-        return stmt.target in self.decode(ty, group.at(i))
+        """Whether the statement is confirmed at step i. Layers run only while
+        a group is due, as a group this demands first is."""
+        ty = self.symbols[stmt.fname].type
+        group = self._group(stmt.fname, tuple(map(self.encode, arg_types(ty), stmt.args)))
+        if any(self._due[self._low:]):
+            self.advance_to_fixpoint()
+        return stmt.target in self.decode(result_type(ty), group.at(i))
 
     def _schedule(self, group: _Group, step: int) -> None:
         group.wake = step
@@ -797,7 +776,7 @@ class Solver:
                 self._blocked += 1
                 self._schedule(group, k)
 
-    def _fixpoint(self, queries: List[Tuple[Code, List]]) -> List[int]:
+    def advance_to_fixpoint(self, queries: Sequence[Tuple[Code, List]] = ()) -> List:
         """Run layers until one confirms and demands nothing new and the
         queries' values repeat; returns those values. Layer L = step + 1
         evaluates only the groups due at L, those that read a statement
@@ -827,14 +806,6 @@ class Solver:
             if rounds > self._demanded + len(queries) + 2:
                 raise AssertionError("fixpoint exceeded the statement bound")
 
-    def advance_to_fixpoint(self, seeds: List[Stmt]) -> int:
-        """Demand the seeds and run layers to the fixpoint; returns the step
-        of the last layer."""
-        for stmt in seeds:
-            self._demand(stmt)
-        self._fixpoint([])
-        return self.step
-
     def evaluate(self, queries: List[Tuple[Term, Dict[str, Repr]]]) -> List[Repr]:
         """Evaluate terms under environments, dicts from variable names to
         representations, at the stable table, extending the demanded
@@ -844,7 +815,7 @@ class Solver:
         for t, eta in queries:
             code, names = self._query(t)
             compiled.append((code, [self.encode(ty, eta.get(name)) for name, ty in names]))
-        values = self._fixpoint(compiled)
+        values = self.advance_to_fixpoint(compiled)
         return [self.decode(t.type, value) for (t, _), value in zip(queries, values)]
 
 
@@ -877,16 +848,12 @@ def solve(
     head = s.head
     if head.name not in solver.symbols:
         raise NotBasic(f"{head.name} was pruned from the system")
-    args = tuple(1 << solver._index(arg) for arg in s.args)
-    res_ty = result_type(head.type)
-    views = solver.decode_args(head.name, args)
-    seeds = [Stmt(head.name, views, target) for target in solver.targets(res_ty)]
-    steps = solver.advance_to_fixpoint(seeds)
-    seed = solver.groups.get((head.name, args))
-    found = solver.decode(res_ty, seed.value) if seed is not None else ()
+    seed = solver._group(head.name, tuple(1 << solver._index(arg) for arg in s.args))
+    solver.advance_to_fixpoint()
+    found = solver.decode(result_type(head.type), seed.value)
     return SolveResult(
         sorted(found, key=print_term),
-        steps,
+        solver.step,
         solver.statement_count(),
         solver._demanded,
         solver,

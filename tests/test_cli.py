@@ -211,6 +211,19 @@ def test_solve_non_cons_free_is_exit_1(capsys):
     assert "error" in err
 
 
+def test_solve_functional_product_component_is_exit_1(tmp_path, capsys):
+    # g is never called, but counting statements builds its argument's space
+    path = tmp_path / "fnpair.atrs"
+    path.write_text(
+        "pairing ;\nsort nat ;\ncons o : nat ;\ncons s : nat => nat ;\n"
+        "fun main : nat => nat ;\nfun g : (nat => nat) * nat => nat ;\n"
+        "rule main x -> x ;\nrule g p -> o ;\n"
+    )
+    code, out, err = run_cli(["solve", str(path), "--basic", "main o"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: product type (nat => nat) * nat has a functional component\n"
+
+
 def test_solve_space_budget_is_exit_2(capsys):
     code, _, err = run_cli(
         ["solve", MAJORITY, "--basic", "majority (1;0;[])", "--repr-budget", "4"],

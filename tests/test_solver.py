@@ -491,6 +491,18 @@ def test_early_confirmation_of_the_compare_statement(majority):
     assert not solver.conf(0, hit)
 
 
+def test_conf_on_demanded_groups_runs_no_layer(majority):
+    # nothing is due after solve's fixpoint, so asking about the groups it
+    # demanded adds no layer and no worklist bucket
+    solver = solve(majority, term("majority (1 ; 0 ; [])", majority)).solver
+    assert (solver.step, len(solver._due)) == (7, 9)
+    confirmed = list(solver.confirmed_at.items())
+    for n in range(50):
+        stmt, at = confirmed[n % len(confirmed)]
+        assert solver.conf(at, stmt)
+    assert (solver.step, len(solver._due)) == (7, 9)
+
+
 def test_solve_product_on_a_projection():
     atrs = parse_atrs(
         "pairing ;\nsort symb list ;\ncons 0 : symb ;\ncons 1 : symb ;\n"
@@ -510,15 +522,19 @@ def test_product_universes_are_pair_terms_in_lexicographic_order():
     atrs = parse_atrs(NESTED_PRODUCTS)
     symb = Sort("symb")
     syms = [term("0", atrs), term("1", atrs)]
-    B = BSet(frozenset(syms))
-    right_nested = build_space(Product(symb, Product(symb, symb)), B, 2 ** 20, {})
+    solver = Solver(atrs, BSet(frozenset(syms)))
+
+    def members(ty):
+        # bit k of a mask over a product stands for its k-th pair term
+        assert solver.space(ty).size == 8
+        return [solver.decode(ty, 1 << k) for k in range(8)]
+
     expected = [pair(a, pair(b, c)) for a in syms for b in syms for c in syms]
-    assert len(right_nested.universe) == 8
-    assert all(u is e for u, e in zip(right_nested.universe, expected))
-    left_nested = build_space(Product(Product(symb, symb), symb), B, 2 ** 20, {})
+    assert all(len(m) == 1 and next(iter(m)) is e
+               for m, e in zip(members(Product(symb, Product(symb, symb))), expected))
     expected = [pair(pair(a, b), c) for a in syms for b in syms for c in syms]
-    assert len(left_nested.universe) == 8
-    assert all(u is e for u, e in zip(left_nested.universe, expected))
+    assert all(len(m) == 1 and next(iter(m)) is e
+               for m, e in zip(members(Product(Product(symb, symb), symb)), expected))
 
 
 def test_solve_on_nested_products_and_pair_term_targets():
@@ -540,11 +556,10 @@ def test_solve_on_nested_products_and_pair_term_targets():
 def test_repr_enumeration_is_canonical():
     majority = load("majority.atrs")
     s = term("majority (1 ; 0 ; [])", majority)
-    B = compute_B(s, majority)
+    solver = Solver(majority, compute_B(s, majority))
 
     def elements(ty):
-        space = build_space(ty, B, 2 ** 20, {})
-        return [space.decode(i) for i in range(space.card)]
+        return [solver.decode(ty, i) for i in range(solver.space(ty).card)]
 
     lists = elements(Sort("list"))
     assert len(lists) == len(set(lists)) == 8
@@ -554,31 +569,28 @@ def test_repr_enumeration_is_canonical():
 
 @pytest.mark.parametrize("case", ["majority", "expab-2", "explin-1"])
 def test_every_built_space_round_trips_through_encode_and_decode(case, monkeypatch):
-    # the solver's int codes are its spaces' enumeration orders: each index
-    # decodes to an element that encodes back to it, through the space and
-    # through the solver's boundary, which codes sets without a space
+    # the solver's int codes enumerate each space it built: every index
+    # decodes to a value of its own that encodes back to it
     solver = last_solver(DIGEST_CASES[case][0], monkeypatch)
     assert solver.spaces
     for ty, space in solver.spaces.items():
-        for index in range(space.card):
-            value = space.decode(index)
-            assert space.encode(value) == index
-            assert solver.decode(ty, index) == value
-            assert solver.encode(ty, value) == index
+        values = [solver.decode(ty, index) for index in range(space.card)]
+        assert len(set(values)) == space.card
+        assert [solver.encode(ty, value) for value in values] == list(range(space.card))
 
 
 def test_a_function_index_decodes_to_its_table_in_enumeration_order(monkeypatch):
     solver = last_solver(DIGEST_CASES["explin-1"][0], monkeypatch)
     lists, bools = (solver.B.of_type(Sort(name)) for name in ("list", "bool"))
-    space = solver.spaces[Arrow(Sort("list"), Sort("bool"))]
-    assert (len(lists), len(bools), space.card) == (2, 2, 4 ** 4)
+    ty = Arrow(Sort("list"), Sort("bool"))
+    assert (len(lists), len(bools), solver.spaces[ty].card) == (2, 2, 4 ** 4)
     # domain element x is the subset with mask x; digit x, in base 4, is the
     # mask of the value there: 99 has the digits 3, 0, 2, 1
     subsets = [frozenset(), frozenset(lists[:1]), frozenset(lists[1:]), frozenset(lists)]
-    assert [space.dom.decode(x) for x in range(4)] == subsets
+    assert [solver.decode(ty.arg, x) for x in range(4)] == subsets
     table = (frozenset(bools), frozenset(), frozenset(bools[1:]), frozenset(bools[:1]))
-    assert space.decode(99).table == table
-    assert space.encode(FnRepr(space, table)) == 99
+    assert solver.decode(ty, 99).table == table
+    assert solver.encode(ty, FnRepr(table)) == 99
 
 
 def test_the_solver_retains_a_bounded_heap():
