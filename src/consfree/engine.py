@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -227,13 +228,19 @@ def rule_table(atrs: Atrs) -> Tuple[Dict[FuncSym, HeadRules], Dict[str, Compiled
 Match = Tuple[CompiledRule, List[Term]]
 
 
+# a term's one-step reducts under a strategy; the rule names of its own
+# contractions, which come first; and the first argument whose reducts
+# follow theirs, in ascending argument order
+Entry = Tuple[Tuple[Term, ...], Tuple[str, ...], int]
+
+
 class Engine:
-    """Rewrites terms of one system, with per-term memoization."""
+    """Rewrites terms of one system, with per-term memoization of reducts."""
 
     def __init__(self, atrs: Atrs):
         self.atrs = atrs
         self.by_head, self.by_name = rule_table(atrs)
-        self._options: Dict[str, Dict[Term, Tuple]] = {}
+        self._memo: Dict[str, Dict[Term, Entry]] = {}
 
     def node_matches(self, t: Term) -> List[Match]:
         """The rules, in order, whose patterns match a prefix of t's spine
@@ -257,10 +264,46 @@ class Engine:
         rule, env = match
         return rule.build(env, t.args[rule.arity :], t.type)
 
-    def step_options(self, t: Term, strategy: str) -> Tuple[Tuple[Term, str, Tuple[int, ...]], ...]:
-        """All one-step reducts of t under the strategy, with rule and path."""
-        memo = self._options.setdefault(strategy, {})
-        # fill the options of every unknown subterm of t, children first
+    def step_options(self, t: Term, strategy: str) -> Tuple[Term, ...]:
+        """All one-step reducts of t under the strategy: t's own
+        contractions in rule order, then each argument's reducts in turn,
+        from the first argument the strategy lets be rewritten. `step_of`
+        names the step to each."""
+        memo = self._memo.get(strategy)
+        if memo is None:
+            memo = self._memo[strategy] = {}
+        entry = memo.get(t)
+        if entry is not None:
+            return entry[0]
+        for arg in t.args:
+            if arg not in memo:
+                return self._fill(t, strategy, memo)[0]
+        entry = memo[t] = self._entry_at(t, strategy, memo)
+        return entry[0]
+
+    def step_of(self, t: Term, k: int, strategy: str) -> Step:
+        """The rule and path of the step from t to its k-th reduct in
+        `step_options(t, strategy)`, read down the arguments' entries."""
+        memo = self._memo.setdefault(strategy, {})
+        reducts, names, first = memo.get(t) or self._fill(t, strategy, memo)
+        if not 0 <= k < len(reducts):
+            raise IndexError(f"{print_term(t)} has no reduct {k}")
+        path: List[int] = []
+        while k >= len(names):
+            k -= len(names)
+            for i in range(first, len(t.args)):
+                count = len(memo[t.args[i]][0])
+                if k < count:
+                    break
+                k -= count
+            path.append(i)
+            t = t.args[i]
+            _, names, first = memo[t]
+        return names[k], tuple(path)
+
+    def _fill(self, t: Term, strategy: str, memo: Dict[Term, Entry]) -> Entry:
+        """The entry of t, made after those of its unknown subterms,
+        children first."""
         stack = [t]
         while stack:
             u = stack[-1]
@@ -272,31 +315,35 @@ class Engine:
                 stack += pending
                 continue
             stack.pop()
-            memo[u] = self._options_at(u, strategy, memo)
+            memo[u] = self._entry_at(u, strategy, memo)
         return memo[t]
 
-    def _options_at(self, t: Term, strategy: str, memo: Dict[Term, Tuple]) -> Tuple:
-        """t's own contractions, then argument i's options for ascending i,
-        read from the arguments' memo entries."""
-        out: List[Tuple[Term, str, Tuple[int, ...]]] = []
+    def _entry_at(self, t: Term, strategy: str, memo: Dict[Term, Entry]) -> Entry:
+        """t's own contractions, then argument i's reducts for ascending i,
+        each with t's other arguments, read from the arguments' entries."""
+        reducts: List[Term] = []
+        names: List[str] = []
         matches = self.node_matches(t)
-        blocked_below = 0
+        first = 0
         if strategy == OUTERMOST and matches:
-            kmax = max(rule.arity for rule, _ in matches)
-            matches = [m for m in matches if m[0].arity == kmax]
-            blocked_below = kmax
+            first = max(rule.arity for rule, _ in matches)
+            matches = [m for m in matches if m[0].arity == first]
+        args = t.args
         for match in matches:
             rule = match[0]
-            # a term without innermost options is normal, since a lowest
+            # a term without innermost reducts is normal, since a lowest
             # redex has normal arguments
-            if strategy == INNERMOST and any(memo[arg] for arg in t.args[: rule.arity]):
+            if strategy == INNERMOST and any(memo[arg][0] for arg in args[: rule.arity]):
                 continue
-            out.append((self.contract(t, match), rule.name, ()))
-        for i, arg in enumerate(t.args[blocked_below:], blocked_below):
-            for reduct, name, path in memo[arg]:
-                args = t.args[:i] + (reduct,) + t.args[i + 1 :]
-                out.append((Term(t.head, args, t.type), name, (i,) + path))
-        return tuple(out)
+            reducts.append(self.contract(t, match))
+            names.append(rule.name)
+        spine, head, ty = list(args), t.head, t.type
+        for i in range(first, len(args)):
+            for reduct in memo[args[i]][0]:
+                spine[i] = reduct
+                reducts.append(Term(head, tuple(spine), ty))
+            spine[i] = args[i]
+        return tuple(reducts), tuple(names), first
 
 
 def search_data_normal_forms(
@@ -305,9 +352,13 @@ def search_data_normal_forms(
     """Breadth-first search of the reduct space of t for data normal forms.
 
     Terms are visited in the order they are generated: each level's terms in
-    the order they were found, and each term's options in `step_options`'
+    the order they were found, and each term's reducts in `step_options`'
     order. A term's parent is the term it was first found from, one level
-    up, so every witness trace is a shortest reduction to its normal form."""
+    up, so every witness trace is a shortest reduction to its normal form.
+    Only the witnesses' steps are named, by `Engine.step_of`.
+
+    The search builds no reference cycles, so the cyclic garbage collector
+    is paused while it runs and left as the caller had it."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     budget = budget or Budget()
@@ -315,8 +366,20 @@ def search_data_normal_forms(
         raise BudgetTooSmallForRoot(
             f"the start term has {t.size} nodes, budget allows {budget.max_term_size}"
         )
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _search(t, atrs, strategy, budget)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _search(t: Term, atrs: Atrs, strategy: str, budget: Budget) -> SearchResult:
     engine = Engine(atrs)
-    parents: Dict[Term, Optional[Tuple[Term, str, Tuple[int, ...]]]] = {t: None}
+    # reduct -> (the term it was first found from, its index among that
+    # term's reducts)
+    parents: Dict[Term, Optional[Tuple[Term, int]]] = {t: None}
     frontier: List[Term] = [t]
     normal_forms: Set[Term] = set()
     exhausted = False
@@ -332,13 +395,13 @@ def search_data_normal_forms(
             if depth >= budget.max_steps:
                 exhausted = True
                 continue
-            for reduct, name, path in options:
+            for k, reduct in enumerate(options):
                 if reduct in parents:
                     continue
                 if reduct.size > budget.max_term_size or len(parents) >= budget.max_terms:
                     exhausted = True
                     continue
-                parents[reduct] = (u, name, path)
+                parents[reduct] = (u, k)
                 next_frontier.append(reduct)
         frontier = next_frontier
         depth += 1
@@ -347,8 +410,8 @@ def search_data_normal_forms(
         steps: List[Step] = []
         node = nf
         while parents[node] is not None:
-            parent, name, path = parents[node]
-            steps.append((name, path))
+            parent, k = parents[node]
+            steps.append(engine.step_of(parent, k, strategy))
             node = parent
         traces[nf] = list(reversed(steps))
     return SearchResult(t, strategy, frozenset(normal_forms), exhausted, len(parents), traces)

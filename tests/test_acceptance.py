@@ -200,7 +200,7 @@ def test_05_b_safety_fuzz():
             options = engine.step_options(current, "free")
             if not options:
                 break
-            current = rng.choice(options)[0]
+            current = rng.choice(options)
             if current.size > 400:
                 break
             assert is_B_safe(current, B), print_term(current)

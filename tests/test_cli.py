@@ -89,9 +89,11 @@ def test_memory_exhaustion_is_exit_2_without_a_traceback(monkeypatch, capsys):
     assert err == "error: out of memory\n"
 
 
-def test_free_run_out_of_memory_is_exit_2_without_a_traceback():
-    # a free run of succ over 1,200 ones outgrows a 400 MB address space;
-    # the cap is set in the child alone, and never run this input without it
+def test_free_run_of_a_deep_redex_ends_at_the_step_budget_within_400_mb():
+    # a free run of succ over 1,200 ones takes one head step per digit, a
+    # level deeper each time, so the default budget of 1,000 steps ends it;
+    # its memory must stay within a 400 MB address space, a cap set in the
+    # child alone, and never run this input without it
     def cap():
         limit = 400 * 2 ** 20
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -102,7 +104,8 @@ def test_free_run_out_of_memory_is_exit_2_without_a_traceback():
         capture_output=True, text=True, timeout=300, env=os.environ, preexec_fn=cap,
     )
     assert done.returncode == 2
-    assert done.stderr == "error: out of memory\n"
+    assert done.stdout == "exhausted=true visited=1001\n"
+    assert done.stderr == ""
 
 
 def majority_of_ones(length):

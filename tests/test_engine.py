@@ -1,5 +1,6 @@
 """Rewrite engine: reducts, strategies, bounded search, traces."""
 
+import gc
 import hashlib
 import os
 import random
@@ -32,7 +33,7 @@ EITHER = parse_atrs(
 
 
 def reducts(engine, t, strategy="free"):
-    return {u for u, _, _ in engine.step_options(t, strategy)}
+    return set(engine.step_options(t, strategy))
 
 
 def test_one_step_reducts_of_succ(succ_system):
@@ -57,7 +58,7 @@ def walk_terms(atrs, start, depth):
         frontier = [
             u
             for t in frontier
-            for u, _, _ in engine.step_options(t, "free")
+            for u in engine.step_options(t, "free")
             if u not in seen and not seen.add(u)
         ]
     return seen
@@ -122,13 +123,16 @@ def engine_digest(source, text):
         current = start
         for _ in range(60):
             options = engine.step_options(current, strategy)
+            steps = [engine.step_of(current, k, strategy) for k in range(len(options))]
+            for step, u in zip(steps, options):
+                assert replay_trace(current, [step], atrs)[-1] is u
             lines.append(repr((
                 strategy,
                 print_term(current),
                 not engine.step_options(current, "free"),
-                [(print_term(u), rule, path) for u, rule, path in options],
+                [(print_term(u), *step) for u, step in zip(options, steps)],
             )))
-            current = rng.choice(options)[0] if options else start
+            current = rng.choice(options) if options else start
         result = search_data_normal_forms(start, atrs, strategy)
         for nf, steps in result.traces.items():
             assert replay_trace(start, steps, atrs)[-1] == nf
@@ -178,7 +182,7 @@ def level_distances(atrs, start, strategy):
     while level:
         d += 1
         level = {
-            u for t in level for u, _, _ in engine.step_options(t, strategy) if u not in distance
+            u for t in level for u in engine.step_options(t, strategy) if u not in distance
         }
         distance.update(dict.fromkeys(level, d))
     return distance
@@ -213,6 +217,54 @@ def test_the_search_never_prints(monkeypatch):
     for strategy in STRATEGIES:
         result = search_data_normal_forms(start, atrs, strategy)
         assert len(result.data_normal_forms) == 2
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_the_search_leaves_the_collector_as_it_found_it(collecting, majority):
+    start = term("majority (1 ; 0 ; [])", majority)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        search_data_normal_forms(start, majority)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_the_collector_is_restored_after_a_failed_search(monkeypatch, majority):
+    paused = []
+
+    def fail(self, t, strategy):
+        paused.append(not gc.isenabled())
+        raise RuntimeError("no reducts")
+
+    monkeypatch.setattr(Engine, "step_options", fail)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        search_data_normal_forms(term("majority (1 ; 0 ; [])", majority), majority)
+    assert paused == [True] and gc.isenabled()
+
+
+def test_a_search_leaves_no_cyclic_garbage():
+    # the premise for pausing the collector: nothing piles up meanwhile
+    cases = []
+    for source, text, _ in DIGEST_CASES.values():
+        atrs = parse_atrs(source)
+        cases.append((atrs, term(text, atrs)))
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for atrs, start in cases:
+            for strategy in STRATEGIES:
+                result = search_data_normal_forms(start, atrs, strategy)
+                for steps in result.traces.values():
+                    replay_trace(start, steps, atrs)
+        del result
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_unknown_strategy_is_rejected(majority):
