@@ -208,6 +208,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
+    except MemoryError:
+        # matched first, since matching a tuple of classes allocates it, and
+        # reported below, once the traceback has let go of the command's data
+        pass
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -219,9 +223,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "error: input nested too deeply for the interpreter's stack",
             file=sys.stderr,
         )
-        return EXIT_BUDGET
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except (
         NotBasic,
@@ -235,6 +236,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -455,48 +455,3 @@ def replay_trace(root: Term, steps: List[Step], atrs: Atrs) -> List[Term]:
         terms.append(current)
     return terms
 
-
-def validate_semi_outermost(root: Term, steps: List[Step], atrs: Atrs) -> bool:
-    """Check that a trace is semi-outermost: along every spine, arguments are
-    only rewritten below non-variable pattern positions before the head step,
-    and all sub-reductions have the same shape.
-
-    The trace is replayed once. Each task is a position and the indices of
-    the steps below it, in order, from `start` on; its term is the one at
-    that position before its first step, which no earlier step above the
-    position has moved."""
-    terms = replay_trace(root, steps, atrs)  # raises NonReplayableTrace when invalid
-    rules = {rule.name: rule for rule in atrs.rules}
-    tasks: List[Tuple[Tuple[int, ...], List[int], int]] = [((), list(range(len(steps))), 0)]
-    while tasks:
-        path, indices, start = tasks.pop()
-        if start == len(indices):
-            continue
-        t = terms[indices[start]]
-        for i in path:
-            t = t.args[i]
-        depth = len(path)
-        # the steps below an argument: all of them under a constructor or a
-        # pair, which no step rewrites, those before the head step under a
-        # defined symbol
-        rule, end = None, len(indices)
-        if isinstance(t.head, FuncSym) and not t.head.is_constructor:
-            end = next(
-                (n for n in range(start, end) if len(steps[indices[n]][1]) == depth), None
-            )
-            if end is None:
-                return False
-            rule = rules[steps[indices[end]][0]]
-            tasks.append((path, indices, end + 1))
-        per_arg: Dict[int, List[int]] = {}
-        for j in indices[start:end]:
-            i = steps[j][1][depth]
-            if rule is not None:
-                if i >= rule.arity:
-                    return False
-                pattern = rule.lhs.args[i]
-                if isinstance(pattern.head, Variable) and not pattern.args:
-                    return False
-            per_arg.setdefault(i, []).append(j)
-        tasks += [(path + (i,), sub, 0) for i, sub in per_arg.items()]
-    return True

@@ -187,57 +187,6 @@ def build_space(ty: SimpleType, B: BSet, budget: int, cache: Dict) -> object:
     return space
 
 
-def repr_cardinality(ty: SimpleType, sort_sizes: Dict[str, int]) -> int:
-    """Exact representation-space size from per-sort universe sizes."""
-    if isinstance(ty, Sort):
-        return 2 ** sort_sizes.get(ty.name, 0)
-    if isinstance(ty, Product):
-        product = 1
-        for comp in flatten_product(ty):
-            if not isinstance(comp, Sort):
-                raise NotProductConsFree(f"product type {ty} has a functional component")
-            product *= sort_sizes.get(comp.name, 0)
-        return 2 ** product
-    return repr_cardinality(ty.res, sort_sizes) ** repr_cardinality(ty.arg, sort_sizes)
-
-
-def _chain_width(ty: SimpleType) -> int:
-    """The largest number of types along any arrow spine occurring in ty."""
-    if isinstance(ty, Sort):
-        return 1
-    if isinstance(ty, Product):
-        return max(_chain_width(comp) for comp in flatten_product(ty))
-    spine = arg_types(ty) + [result_type(ty)]
-    return max(len(spine), max(_chain_width(part) for part in spine))
-
-
-def _max_product_width(ty: SimpleType) -> int:
-    if isinstance(ty, Sort):
-        return 1
-    if isinstance(ty, Product):
-        return max(
-            len(flatten_product(ty)),
-            max(_max_product_width(comp) for comp in flatten_product(ty)),
-        )
-    return max(_max_product_width(ty.arg), _max_product_width(ty.res))
-
-
-def within_cardinality_bound(value: int, ty: SimpleType, N: int) -> bool:
-    """Whether value fits under the iterated-exponential ceiling
-    exp2^(K+1)(d^K * N^b) on the representation-space size of a type over a
-    data universe with N elements per sort. The tower is never materialized:
-    each exponentiation level is inverted with a ceiling log2."""
-    K = ty.order()
-    d = _chain_width(ty)
-    b = _max_product_width(ty)
-    base = (d ** K) * (N ** b)
-    for _ in range(K + 1):
-        if value <= 1:
-            return True
-        value = (value - 1).bit_length()  # ceil(log2(value))
-    return value <= base
-
-
 @dataclass(frozen=True)
 class Stmt:
     """A statement `f A1 .. Am ~> target` over representations; its args are
@@ -385,7 +334,8 @@ class Solver:
     # -- spaces and sizes -----------------------------------------------
 
     def space(self, ty: SimpleType):
-        return build_space(ty, self.B, self.space_budget, self.spaces)
+        """The space of ty, built on first use, which checks its budget."""
+        return self.spaces.get(ty) or build_space(ty, self.B, self.space_budget, self.spaces)
 
     def _count(self, ty: SimpleType) -> int:
         """The number of data terms of a sort or product of sorts, building
@@ -625,7 +575,7 @@ class Solver:
         """The index at step i of `name prefix`, of type ty, over its next
         argument: domain element x, coded as x, contributes the value of
         `name prefix x` times the codomain's card to the power x."""
-        space, res = self.space(ty), ty.res
+        space, res = self.spaces.get(ty) or self.space(ty), ty.res
         card = space.cod.card
         index, weight = 0, 1
         for x in range(space.dom.card):

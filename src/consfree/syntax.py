@@ -511,25 +511,6 @@ def encode_input(x: str, atrs: Atrs) -> Term:
     return term
 
 
-def decode_list(t: Term) -> Optional[str]:
-    """Inverse of encode_input for lists of nullary constructors, else None."""
-    chars = []
-    while True:
-        head = t.head
-        if not isinstance(head, FuncSym) or not head.is_constructor:
-            return None
-        if head.name == NIL_NAME and not t.args:
-            return "".join(chars)
-        if head.name == CONS_NAME and len(t.args) == 2 and not t.args[0].args:
-            first = t.args[0].head
-            if not isinstance(first, FuncSym):
-                return None
-            chars.append(first.name)
-            t = t.args[1]
-            continue
-        return None
-
-
 def parse_tm(text: str) -> TMachine:
     """Parse a Turing machine description."""
     parser = _Parser(tokenize(text))

@@ -367,17 +367,6 @@ def is_basic(t: Term) -> bool:
     )
 
 
-def classify(t: Term) -> str:
-    """Classify t as 'data', 'pattern', 'basic', or 'none-of-these'."""
-    if is_data(t):
-        return "data"
-    if is_pattern(t):
-        return "pattern"
-    if is_basic(t):
-        return "basic"
-    return "none-of-these"
-
-
 class Matcher:
     """Argument patterns compiled to be matched without recursion.
 
@@ -454,34 +443,6 @@ class Matcher:
             if args[i] is not env[slot]:
                 return False
         return True
-
-
-def match(pattern: Term, t: Term) -> Optional[Dict[Variable, Term]]:
-    """Match pattern against t, or None.
-
-    Repeated variables are permitted and must bind syntactically equal terms.
-    """
-    # a term of another type has, under an equal head, other arguments
-    if pattern.args and pattern.type != t.type:
-        return None
-    matcher = Matcher((pattern,))
-    env = [t]
-    if not matcher((t,), env):
-        return None
-    return {v: env[slot] for v, slot in matcher.slots.items()}
-
-
-def apply_subst(t: Term, subst: Dict[Variable, Term]) -> Term:
-    """Apply a substitution to t."""
-    args = tuple(apply_subst(arg, subst) for arg in t.args)
-    head = t.head
-    if isinstance(head, Variable):
-        image = subst.get(head)
-        if image is not None:
-            return apply_term(image, *args)
-    if isinstance(head, PairHead):
-        return pair(*args)
-    return Term(head, args, t.type)
 
 
 CONS_NAME = "cons"
@@ -562,19 +523,6 @@ class Atrs:
     # the engine's compiled rules, built on first use (`engine.rule_table`)
     compiled: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
-    def constructors(self) -> List[FuncSym]:
-        return [f for f in self.symbols.values() if f.is_constructor]
-
     def defined_symbols(self) -> List[FuncSym]:
         return [f for f in self.symbols.values() if not f.is_constructor]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Atrs):
-            return NotImplemented
-        return (
-            self.sorts == other.sorts
-            and self.symbols == other.symbols
-            and self.pairing == other.pairing
-            and [(r.lhs, r.rhs) for r in self.rules]
-            == [(r.lhs, r.rhs) for r in other.rules]
-        )

@@ -203,13 +203,6 @@ def data_universe(seeds: List[Term], atrs: Atrs) -> BSet:
     return BSet(frozenset(out))
 
 
-def is_B_safe(t: Term, B: BSet) -> bool:
-    """Every constructor-headed subterm of t lies in B."""
-    return all(
-        s in B for s in subterms(t) if _constructor_headed(s)
-    )
-
-
 def prune_ho_constructors(atrs: Atrs) -> Tuple[Atrs, List[str]]:
     """Drop constructors of type order above one, and every rule mentioning
     them; reachable data terms are unaffected."""

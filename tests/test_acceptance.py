@@ -16,19 +16,14 @@ import pytest
 from consfree.compiler import compile_tm
 from consfree.engine import Budget, Engine, replay_trace, search_data_normal_forms
 from consfree.modules import module_selftest, parse_module_expr
-from consfree.solver import (
-    Solver,
-    Stmt,
-    repr_cardinality,
-    solve,
-    within_cardinality_bound,
-)
+from consfree.solver import Solver, Stmt, solve
 from consfree.syntax import encode_input, parse_tm
 from consfree.terms import Arrow, Product, Sort, print_term, sym_term
 from consfree.tm import simulate_tm
-from consfree.validation import check, compute_B, is_B_safe
+from consfree.validation import check, compute_B
 
 from conftest import CORPUS, corpus_text, load, term
+from oracles import is_B_safe, repr_cardinality, within_cardinality_bound
 
 
 def decide_term(atrs, x: str):

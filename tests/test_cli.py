@@ -89,6 +89,30 @@ def test_memory_exhaustion_is_exit_2_without_a_traceback(monkeypatch, capsys):
     assert err == "error: out of memory\n"
 
 
+def test_real_memory_exhaustion_in_a_wide_search_is_exit_2():
+    # a free search of sat over 20 variables outgrows a 100 MB address
+    # space, a cap set in the child alone, in about a second; the message
+    # can only be printed once the search's terms are freed. Where memory
+    # runs out varies from run to run, and a handler that allocated before
+    # they were freed failed in about half the runs, so the search runs four
+    # times
+    def cap():
+        limit = 100 * 2 ** 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    text = "decide (1;0;1;0;?;#;0;1;?;1;0;#;1;1;0;0;1;#;0;?;1;?;0;#;[])"
+    command = [
+        sys.executable, "-m", "consfree.cli", "run", SAT, "--term", text,
+        "--max-terms", "100000000", "--max-steps", "100000",
+    ]
+    for _ in range(4):
+        done = subprocess.run(
+            command, capture_output=True, text=True, timeout=60, env=os.environ,
+            preexec_fn=cap,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
+
 def test_free_run_of_a_deep_redex_ends_at_the_step_budget_within_400_mb():
     # a free run of succ over 1,200 ones takes one head step per digit, a
     # level deeper each time, so the default budget of 1,000 steps ends it;

@@ -18,12 +18,12 @@ from consfree.engine import (
     NonReplayableTrace,
     replay_trace,
     search_data_normal_forms,
-    validate_semi_outermost,
 )
 from consfree.syntax import parse_atrs
 from consfree.terms import is_data, print_term
 
 from conftest import CORPUS, NESTED_PRODUCTS, TESTS, corpus_text, load, term
+from oracles import validate_semi_outermost
 
 EITHER = parse_atrs(
     "sort nat ;\ncons o : nat ;\ncons s : nat => nat ;\n"

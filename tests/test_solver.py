@@ -26,18 +26,19 @@ from consfree.solver import (
     UnboundVariable,
     _Blocked,
     build_space,
-    within_cardinality_bound,
-    repr_cardinality,
     solve,
 )
 from consfree.syntax import encode_input, parse_atrs, parse_term, parse_tm
 from consfree.terms import (
-    Arrow, PairHead, Product, Sort, pair, print_term, result_type, sym_term,
+    Arrow, PairHead, Product, Sort, arg_types, pair, print_term, result_type, sym_term,
 )
 from consfree.tm import simulate_tm
 from consfree.validation import BSet, NotBasic, compute_B, prune_ho_constructors
 
 from conftest import CORPUS, NESTED_PRODUCTS, TESTS, corpus_text, load, term
+from oracles import (
+    ReferenceFixpoint, Table, TooManyStatements, repr_cardinality, within_cardinality_bound,
+)
 
 SATURATING = [
     ("majority.atrs", "majority (1 ; 0 ; [])"),
@@ -62,6 +63,58 @@ def test_solve_matches_the_engine(name, text):
     assert not oracle.exhausted
     result = solve(atrs, s)
     assert set(result.normal_forms) == set(oracle.data_normal_forms)
+
+
+# the saturating inputs whose full tabulation stays under the reference
+# oracle's cap: consfree_fsucc has 83,888,280 statements
+REFERENCE_CASES = [
+    pytest.param(corpus_text(name), text, id=f"{name}-{text}")
+    for name, text in SATURATING
+    if name != "consfree_fsucc.atrs"
+] + [pytest.param(NESTED_PRODUCTS, "start (1 ; [])", id="nested-products")]
+
+
+def reference_view(solver, ty, value):
+    """The reference oracle's form of a solver representation of type ty: a
+    table becomes a `Table` from the domain elements it is indexed by."""
+    if not isinstance(ty, Arrow):
+        return value
+    return Table({
+        reference_view(solver, ty.arg, solver.decode(ty.arg, x)): reference_view(solver, ty.res, v)
+        for x, v in enumerate(value.table)
+    })
+
+
+@pytest.mark.parametrize("text,start", REFERENCE_CASES)
+def test_confirmation_steps_match_the_reference_fixpoint(text, start):
+    # oracle: the confirmation calculus tabulated over every statement, each
+    # group evaluated at every step; for each statement of each group the
+    # solver demanded, the first step that confirms it agrees, and "never
+    # confirmed" on both sides counts as agreement
+    atrs = parse_atrs(text)
+    s = term(start, atrs)
+    reference = ReferenceFixpoint(atrs, s)
+    result = solve(atrs, s)
+    solver = result.solver
+    confirmed = solver.confirmed_at
+    disagree = []
+    for fname, coded in solver.groups:
+        ty = solver.symbols[fname].type
+        args = solver.decode_args(fname, coded)
+        key = tuple(reference_view(solver, a, v) for a, v in zip(arg_types(ty), args))
+        for target in reference.data(result_type(ty)):
+            stmt = Stmt(fname, args, target)
+            if reference.first.get((fname, key, target)) != confirmed.get(stmt):
+                disagree.append(stmt)
+    assert disagree == []
+    assert set(result.normal_forms) == reference.answer
+
+
+def test_the_reference_fixpoint_refuses_a_tabulation_over_its_cap():
+    # counted from the types' sizes, before any space is enumerated
+    atrs = load("consfree_fsucc.atrs")
+    with pytest.raises(TooManyStatements):
+        ReferenceFixpoint(atrs, term("main (s (s o)) (s (s o))", atrs))
 
 
 DECIDERS = sorted({name for name, text in SATURATING if text.startswith("decide")})

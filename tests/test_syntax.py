@@ -11,7 +11,6 @@ from consfree.syntax import (
     EmptyInput,
     ParseError,
     PairingRequired,
-    decode_list,
     encode_input,
     parse_atrs,
     parse_term,
@@ -23,6 +22,7 @@ from consfree.terms import Arrow, Product, Sort, TermError, TypeMismatch, print_
 from consfree.tm import TMError
 
 from conftest import CORPUS, corpus_text, term
+from oracles import decode_list
 
 ATRS_FILES = sorted(p.name for p in CORPUS.glob("*.atrs"))
 TM_FILES = sorted(p.name for p in CORPUS.glob("*.tm"))

@@ -22,15 +22,12 @@ from consfree.terms import (
     Sort,
     FuncSym,
     Variable,
-    apply_subst,
     apply_term,
     arg_types,
-    classify,
     fn_type,
     is_basic,
     is_data,
     is_pattern,
-    match,
     pair,
     print_term,
     result_type,
@@ -40,6 +37,7 @@ from consfree.terms import (
 )
 
 from conftest import corpus_text
+from oracles import apply_subst, classify, match
 
 NAT = Sort("nat")
 SYMB = Sort("symb")

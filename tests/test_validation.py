@@ -15,11 +15,11 @@ from consfree.validation import (
     check,
     compute_B,
     data_universe,
-    is_B_safe,
     prune_ho_constructors,
 )
 
 from conftest import ATRS_NAMES, corpus_text, load, long_pattern_system, term
+from oracles import is_B_safe
 
 EXPECTED = {
     "majority.atrs": dict(cons_free=True, order=1),
