@@ -103,16 +103,21 @@ class NotProductConsFree(Exception):
 
 
 class ReprSpaceTooLarge(Exception):
-    """A representation space exceeds the budget; carries the exact size."""
+    """A representation space exceeds the budget; carries the exact size,
+    2 ** exponent, which is built only when it is read."""
 
-    def __init__(self, ty: SimpleType, cardinality: int, budget: int):
+    def __init__(self, ty: SimpleType, exponent: int, budget: int):
         super().__init__(
-            f"representation space for {ty} has {cardinality} elements, "
+            f"representation space for {ty} has 2^{exponent} elements, "
             f"budget allows {budget}"
         )
         self.type = ty
-        self.cardinality = cardinality
+        self.exponent = exponent
         self.budget = budget
+
+    @property
+    def cardinality(self) -> int:
+        return 1 << self.exponent
 
 
 class UnboundVariable(Exception):
@@ -162,27 +167,28 @@ def _bits(mask: int):
 
 
 def build_space(ty: SimpleType, B: BSet, budget: int, cache: Dict) -> object:
-    """The representation space of a type over the data universe B."""
+    """The representation space of a type over the data universe B. Its
+    size is a power of two, 2 ** exponent, and the exponent is checked
+    against the budget before the size is built."""
     space = cache.get(ty)
     if space is not None:
         return space
-    if isinstance(ty, Sort):
-        space = SetSpace(ty, len(B.of_type(ty)))
-    elif isinstance(ty, Product):
-        size = 1
+    if isinstance(ty, Arrow):
+        dom = build_space(ty.arg, B, budget, cache)
+        cod = build_space(ty.res, B, budget, cache)
+        exponent = (cod.card.bit_length() - 1) * dom.card
+    else:
+        exponent = 1
         for comp in flatten_product(ty):
             if not isinstance(comp, Sort):
                 raise NotProductConsFree(
                     f"product type {ty} has a functional component"
                 )
-            size *= len(B.of_type(comp))
-        space = SetSpace(ty, size)
-    else:
-        dom = build_space(ty.arg, B, budget, cache)
-        cod = build_space(ty.res, B, budget, cache)
-        space = FnSpace(ty, dom, cod)
-    if space.card > budget:
-        raise ReprSpaceTooLarge(ty, space.card, budget)
+            exponent *= len(B.of_type(comp))
+    # 2 ** exponent > budget exactly when exponent reaches budget's bit length
+    if exponent >= max(budget, 0).bit_length():
+        raise ReprSpaceTooLarge(ty, exponent, budget)
+    space = FnSpace(ty, dom, cod) if isinstance(ty, Arrow) else SetSpace(ty, exponent)
     cache[ty] = space
     return space
 
@@ -285,11 +291,8 @@ class Solver:
         self.space_budget = space_budget
         self.spaces: Dict[SimpleType, object] = {}
         self.symbols = self.atrs.symbols
-        # per query term, its code and variables; per term of B, its rank
-        # among the terms of its type; per head, its rules compiled
+        # per query term, its code and variables; per head, its rules compiled
         self._queries: Dict[Term, Tuple[Code, List[Tuple[str, SimpleType]]]] = {}
-        types = {t.type for t in B.terms}
-        self._rank = {t: k for ty in types for k, t in enumerate(B.of_type(ty))}
         self._compiled: Dict[str, List[Tuple]] = {}
         for rule in self.atrs.rules:
             if isinstance(rule.lhs.head, FuncSym):
@@ -368,7 +371,7 @@ class Solver:
         if isinstance(t.head, PairHead):
             right = self._index(t.args[1])
             return self._index(t.args[0]) * self._size(t.type.right) + right
-        k = self._rank.get(t)
+        k = self.B.position.get(t)
         if k is None:
             raise NonBSafeTerm(f"data term {print_term(t)} lies outside the universe")
         return k

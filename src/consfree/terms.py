@@ -3,8 +3,8 @@
 Types, symbols, variables and terms are hash-consed in one weak table:
 building one equal to an object that is alive returns that object, so equal
 objects are one object and `==` and `hash` are identity. A term's derived
-fields (size, whether the term is data, its printed text) are computed once
-per node from its children, without recursion.
+fields (size, whether the term is data) are computed once per node from its
+children, without recursion; nothing is written to a term after that.
 """
 
 from __future__ import annotations
@@ -227,11 +227,10 @@ class Term:
     `Term(head, args, type)` returns the live term with that head and those
     arguments if there is one, so equal terms are one object: equality and
     hashing are identity. `size` and `is_data` are set from the children
-    when the node is built; the printed text is filled in by `print_term`
-    on first use. Terms must not be mutated.
+    when the node is built. Terms must not be mutated.
     """
 
-    __slots__ = ("head", "args", "type", "size", "is_data", "_text", "__weakref__")
+    __slots__ = ("head", "args", "type", "size", "is_data", "__weakref__")
 
     head: Head
     args: Tuple["Term", ...]
@@ -263,7 +262,6 @@ class Term:
             data = data and arg.is_data
         t.size = size
         t.is_data = data
-        t._text = None
         entry = _TABLE[key] = _Entry(t, _forget)
         entry.key = key
         return t
@@ -312,14 +310,15 @@ def apply_term(fn: Term, *more: Term) -> Term:
     return Term(fn.head, args, _apply_type(fn.head.type, args, fn.head))
 
 
-def subterms(t: Term) -> set:
-    """All subterms of t: t itself, plus subterms of every spine argument.
+def subterms(*roots: Term) -> set:
+    """All subterms of the roots: each root itself, plus subterms of every
+    spine argument.
 
     The head of an application does not count as a subterm, only its
     arguments do; both components of a pair do.
     """
     out = set()
-    stack = [t]
+    stack = list(roots)
     while stack:
         u = stack.pop()
         if u not in out:
@@ -450,45 +449,35 @@ NIL_NAME = "[]"
 
 
 def print_term(t: Term) -> str:
-    """Render t in concrete syntax, using the `h ; t` list sugar."""
-    text = t._text
-    if text is not None:
-        return text
-    # fill the text of every unprinted node below t, children first
-    stack = [t]
+    """Render t in concrete syntax, using the `h ; t` list sugar, in one
+    pass over a stack of terms still to render and text pieces."""
+    pieces: List[str] = []
+    stack: List[Union[Term, str]] = [t]
     while stack:
-        u = stack[-1]
-        if u._text is not None:
-            stack.pop()
+        u = stack.pop()
+        if isinstance(u, str):
+            pieces.append(u)
             continue
-        pending = [arg for arg in u.args if arg._text is None]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        u._text = _render(u)
-    return t._text
+        head, args = u.head, u.args
+        if isinstance(head, PairHead):
+            stack += (")", args[1], ", ", args[0], "(")
+        elif isinstance(head, FuncSym) and head.name == CONS_NAME and head.is_constructor:
+            if len(args) != 2:
+                raise PrintError("a partially applied list constructor has no rendering")
+            stack += (args[1], " ; ", *_atom(args[0]))
+        else:
+            for arg in reversed(args):
+                stack += (*_atom(arg), " ")
+            pieces.append(head.name)
+    return "".join(pieces)
 
 
-def _atom(t: Term) -> str:
-    """The printed text of an argument: applications are parenthesised."""
+def _atom(t: Term) -> Tuple[Union[Term, str], ...]:
+    """An argument to render, reversed for the stack: applications are
+    parenthesised."""
     if t.args and not isinstance(t.head, PairHead):
-        return f"({t._text})"
-    return t._text
-
-
-def _render(t: Term) -> str:
-    """The text of t from its children's texts."""
-    head, args = t.head, t.args
-    if isinstance(head, PairHead):
-        return f"({args[0]._text}, {args[1]._text})"
-    if isinstance(head, FuncSym) and head.name == CONS_NAME and head.is_constructor:
-        if len(args) != 2:
-            raise PrintError("a partially applied list constructor has no rendering")
-        return f"{_atom(args[0])} ; {args[1]._text}"
-    if not args:
-        return head.name
-    return " ".join([head.name] + [_atom(arg) for arg in args])
+        return (")", t, "(")
+    return (t,)
 
 
 @dataclass

@@ -156,21 +156,34 @@ def check(atrs: Atrs) -> Verdict:
 @dataclass(frozen=True)
 class BSet:
     """The data terms reachable from a start term: its data subterms plus the
-    data subterms of every right-hand side. Closed under subterms. The terms
-    are sorted by their text once, when the set is built, and grouped by
-    type."""
+    data subterms of every right-hand side. The terms are ordered once, by
+    structure: smaller terms first, then by head name, then by the ranks of
+    their arguments (smaller, so ranked before) in the set's subterm closure.
+    The order depends on the set alone; `of_type` and `position`, each
+    member's index within its type, follow it."""
 
     terms: frozenset
     _by_type: Dict[SimpleType, Tuple[Term, ...]] = field(
         init=False, repr=False, compare=False
     )
+    position: Dict[Term, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        levels: Dict[int, List[Term]] = {}
+        for t in subterms(*self.terms):
+            levels.setdefault(t.size, []).append(t)
+        rank: Dict[Term, int] = {}
         by_type: Dict[SimpleType, List[Term]] = {}
-        for t in sorted(self.terms, key=print_term):
-            by_type.setdefault(t.type, []).append(t)
-        groups = {ty: tuple(members) for ty, members in by_type.items()}
-        object.__setattr__(self, "_by_type", groups)
+        position: Dict[Term, int] = {}
+        for size in sorted(levels):
+            for t in sorted(levels[size], key=lambda t: (str(t.head), [rank[a] for a in t.args])):
+                rank[t] = len(rank)
+                if t in self.terms:
+                    members = by_type.setdefault(t.type, [])
+                    position[t] = len(members)
+                    members.append(t)
+        object.__setattr__(self, "_by_type", {ty: tuple(m) for ty, m in by_type.items()})
+        object.__setattr__(self, "position", position)
 
     def __contains__(self, t: Term) -> bool:
         return t in self.terms
@@ -182,7 +195,7 @@ class BSet:
         return len(self.terms)
 
     def __iter__(self):
-        return iter(sorted(self.terms, key=print_term))
+        return iter(self.position)
 
 
 def compute_B(s: Term, atrs: Atrs) -> BSet:

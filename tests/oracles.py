@@ -4,8 +4,10 @@ Each is stated as plainly as its definition allows and is called only from
 the tests: syntactic matching and substitution, the list decoding that
 inverts `encode_input`, B-safety, term classification, the arithmetic
 representation-space sizes and their iterated-exponential bound, the
-semi-outermost trace check, and `ReferenceFixpoint`, a tabulating evaluator
-of the confirmation calculus that shares no code with the solver.
+semi-outermost trace check, the distances of a level-set breadth-first
+search, and `ReferenceFixpoint`, a tabulating evaluator of the confirmation
+calculus that shares no code with the solver, with the comparison of its
+first confirmation steps against a solver's.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Tuple
 
-from consfree.engine import Step, replay_trace
-from consfree.solver import NotProductConsFree
+from consfree.engine import Engine, Step, replay_trace
+from consfree.solver import NotProductConsFree, Solver, Stmt
 from consfree.syntax import CONS_NAME, NIL_NAME
 from consfree.terms import (
     Arrow,
@@ -213,6 +215,19 @@ def validate_semi_outermost(root: Term, steps: List[Step], atrs: Atrs) -> bool:
     return True
 
 
+def level_distances(atrs: Atrs, start: Term, strategy: str) -> Dict[Term, int]:
+    """Each term reachable from start, with its distance, one level at a time."""
+    engine = Engine(atrs)
+    distance, level, d = {start: 0}, {start}, 0
+    while level:
+        d += 1
+        level = {
+            u for t in level for u in engine.step_options(t, strategy) if u not in distance
+        }
+        distance.update(dict.fromkeys(level, d))
+    return distance
+
+
 # -- the confirmation calculus, tabulated ------------------------------------
 
 
@@ -397,3 +412,31 @@ class ReferenceFixpoint:
         if len(args) == len(types):
             return self._values.get((f.name, tuple(args)), frozenset())
         return Table({x: self._call(f, args + [x]) for x in self._space(types[len(args)])})
+
+
+def reference_view(solver: Solver, ty: SimpleType, value):
+    """The reference oracle's form of a solver representation of type ty: a
+    table becomes a `Table` from the domain elements it is indexed by."""
+    if not isinstance(ty, Arrow):
+        return value
+    return Table({
+        reference_view(solver, ty.arg, solver.decode(ty.arg, x)): reference_view(solver, ty.res, v)
+        for x, v in enumerate(value.table)
+    })
+
+
+def first_step_disagreements(reference: ReferenceFixpoint, solver: Solver) -> List[Stmt]:
+    """The statements of the groups the solver demanded whose first
+    confirmation step differs from the reference's; "never confirmed" on
+    both sides counts as agreement."""
+    confirmed = solver.confirmed_at
+    disagree = []
+    for fname, coded in solver.groups:
+        ty = solver.symbols[fname].type
+        args = solver.decode_args(fname, coded)
+        key = tuple(reference_view(solver, a, v) for a, v in zip(arg_types(ty), args))
+        for target in reference.data(result_type(ty)):
+            stmt = Stmt(fname, args, target)
+            if reference.first.get((fname, key, target)) != confirmed.get(stmt):
+                disagree.append(stmt)
+    return disagree

@@ -7,6 +7,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -207,6 +208,42 @@ def test_600_element_input_is_answered_by_run_and_refused_by_solve():
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: representation space")
         assert done.stderr.count("\n") == 1
+
+
+def test_a_space_size_past_the_integer_text_limit_is_exit_2():
+    # the list space of 15,000 ones has 2^15001 elements, a number of 4,516
+    # decimal digits, more than Python converts to text; the size is stated
+    # as a power of two
+    done = run_majority_subprocess("solve", "--basic", majority_of_ones(15000))
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr == (
+        "error: representation space for list has 2^15001 elements, "
+        "budget allows 1048576\n"
+    )
+
+
+def test_an_over_budget_function_space_is_refused_before_its_size_is_built():
+    # with a budget of 2^36 the list space of 34 ones, 2^35 sets of its 35
+    # lists, fits, and the space of list => bool, 4^(2^35) functions, is
+    # refused by its exponent at once; that size takes 8 GB to build, so
+    # the child runs under a 400 MB address-space cap, set in the child alone
+    def cap():
+        limit = 400 * 2 ** 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    text = "decide (" + " ; ".join(["1"] * 34) + " ; [])"
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "consfree.cli", "solve", str(CORPUS / "ho_apply.atrs"),
+         "--basic", text, "--repr-budget", str(2 ** 36)],
+        capture_output=True, text=True, timeout=120, env=os.environ, preexec_fn=cap,
+    )
+    assert time.monotonic() - started < 20
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr == (
+        "error: representation space for list => bool has 2^68719476736 elements, "
+        "budget allows 68719476736\n"
+    )
 
 
 def test_solve_reports_statements(capsys):

@@ -23,7 +23,7 @@ from consfree.syntax import parse_atrs
 from consfree.terms import is_data, print_term
 
 from conftest import CORPUS, NESTED_PRODUCTS, TESTS, corpus_text, load, term
-from oracles import validate_semi_outermost
+from oracles import level_distances, validate_semi_outermost
 
 EITHER = parse_atrs(
     "sort nat ;\ncons o : nat ;\ncons s : nat => nat ;\n"
@@ -173,19 +173,6 @@ def test_the_engine_digest_does_not_depend_on_the_hash_seed():
             capture_output=True, text=True, env=env, timeout=120, check=True,
         )
         assert done.stdout.split() == expected, (seed, done.stdout, done.stderr)
-
-
-def level_distances(atrs, start, strategy):
-    """Each term reachable from start, with its distance, one level at a time."""
-    engine = Engine(atrs)
-    distance, level, d = {start: 0}, {start}, 0
-    while level:
-        d += 1
-        level = {
-            u for t in level for u in engine.step_options(t, strategy) if u not in distance
-        }
-        distance.update(dict.fromkeys(level, d))
-    return distance
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

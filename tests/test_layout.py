@@ -1,9 +1,12 @@
 """Layout: `src/` holds product code only. Every top-level function and
 method there has a caller in `src/`, except the public entry points below;
-reference functions the tests alone call live in `tests/oracles.py`."""
+reference functions the tests alone call live in `tests/oracles.py`. No code
+in `src/` writes a term's fields after `Term.__new__` has built it."""
 
 import ast
 from collections import Counter
+
+from consfree.terms import Term
 
 from conftest import TESTS
 
@@ -11,10 +14,12 @@ SRC = TESTS.parent / "src" / "consfree"
 
 # functions with no caller in src/ that the tests or the benchmark call: the
 # statement queries, trace replay and the Turing machine simulator the tests
-# check the solver and the engine with, and the printer and type builder
-# they build and round-trip systems with
+# check the solver and the engine with, the printer and type builder they
+# build and round-trip systems with, and the exact size an over-budget space
+# error carries for its catchers
 ENTRY_POINTS = {
     "engine.replay_trace",
+    "solver.ReprSpaceTooLarge.cardinality",
     "solver.Solver.conf",
     "solver.Solver.confirmed_at",
     "syntax.print_atrs",
@@ -62,3 +67,69 @@ def test_every_function_in_src_has_a_caller_in_src():
             uncalled.append(name)
     assert sorted(set(uncalled) - ENTRY_POINTS) == []
     assert sorted(ENTRY_POINTS - set(uncalled)) == []
+
+
+def field_writes(tree, fields):
+    """The lines of tree that assign one of fields to an attribute, or name
+    one of them in a setattr call, outside `Term.__new__`; assignments to
+    `self` in the methods of other classes set their own fields."""
+    found = []
+
+    def visit(node, cls, fn):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef):
+            fn = node.name
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets += target.elts
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif isinstance(target, ast.Attribute) and target.attr in fields:
+                own = isinstance(target.value, ast.Name) and target.value.id == "self"
+                if (cls, fn) != ("Term", "__new__") and not (own and cls != "Term"):
+                    found.append(node.lineno)
+        if isinstance(node, ast.Call) and len(node.args) >= 2:
+            name = node.args[1]
+            callee = node.func
+            called = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", "")
+            if (
+                called in ("setattr", "__setattr__")
+                and isinstance(name, ast.Constant)
+                and name.value in fields
+            ):
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, fn)
+
+    visit(tree, None, None)
+    return found
+
+
+def test_terms_are_not_written_after_construction():
+    fields = set(Term.__slots__) - {"__weakref__"}
+    writes = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := field_writes(ast.parse(path.read_text()), fields))
+    }
+    assert writes == {}
+    # the fields are the node's own: no printed text or other cache
+    assert fields == {"head", "args", "type", "size", "is_data"}
+
+
+def test_the_guard_sees_writes_to_terms():
+    planted = ast.parse(
+        "def print_term(t):\n    t._text = 'x'\n    seen[t.head] = t\n"
+        "class Term:\n    def __new__(cls):\n        t.size = 1\n"
+        "    def grow(self):\n        self.size += 1\n"
+        "class Space:\n    def __init__(self):\n        self.size = 1\n"
+        "def f(u):\n    object.__setattr__(u, 'head', None)\n"
+    )
+    assert field_writes(planted, {"_text", "size", "head"}) == [2, 8, 13]

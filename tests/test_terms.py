@@ -4,6 +4,7 @@ hash-consing."""
 import copy
 import gc
 import pickle
+import subprocess
 import sys
 
 import pytest
@@ -36,7 +37,7 @@ from consfree.terms import (
     variables,
 )
 
-from conftest import corpus_text
+from conftest import CORPUS, corpus_text
 from oracles import apply_subst, classify, match
 
 NAT = Sort("nat")
@@ -306,3 +307,46 @@ def test_long_list_without_recursion(majority):
     text = print_term(t)
     assert len(text) == 20_002
     assert text == "1 ; " * 5000 + "[]"
+
+
+def test_long_inputs_print_and_build_B_in_linear_memory():
+    # in a fresh interpreter, the peak resident memory that printing a list
+    # of 5,000 elements and building B for `majority` over 15,000 ones add;
+    # printers that kept each node's text, and a B sorted by that text, held
+    # O(n^2) characters: 48 MB and 428 MB
+    script = (
+        "import resource, sys\n"
+        "from consfree.syntax import encode_input, parse_atrs\n"
+        "from consfree.terms import print_term, sym_term\n"
+        "from consfree.validation import compute_B\n"
+        "atrs = parse_atrs(open(sys.argv[1]).read())\n"
+        "def grown(step, *args):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    step(*args)\n"
+        "    return (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024\n"
+        "print(grown(print_term, encode_input('1' * 5000, atrs)))\n"
+        "start = sym_term(atrs.symbols['majority'], encode_input('1' * 15000, atrs))\n"
+        "print(grown(compute_B, start, atrs))\n"
+    )
+    # Linux keeps a process's peak RSS across exec, and a forked child starts
+    # from its parent's, so the measuring interpreter is started by a small
+    # one in between rather than by the test process
+    launcher = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    done = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-c", script,
+         str(CORPUS / "majority.atrs")],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    printing, building = map(float, done.stdout.split())
+    assert printing < 20 and building < 20, (printing, building)
+
+
+def test_print_parenthesises_applied_arguments_only(majority):
+    x = Variable("x", Arrow(NAT, SYMB))
+    assert print_term(pair(nat(1), pair(nat(1), nat(0)))) == "(s o, (s o, o))"
+    assert print_term(sym_term(F, nat(2), nat(0))) == "f (s (s o)) o"
+    assert print_term(sym_term(G, sym_term(x), nat(1))) == "g x (s o)"
+    assert print_term(sym_term(x, nat(1))) == "x (s o)"
+    cons, one = majority.symbols["cons"], majority.symbols["1"]
+    with pytest.raises(terms.PrintError):
+        print_term(sym_term(cons, sym_term(one)))

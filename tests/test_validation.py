@@ -1,16 +1,25 @@
 """Syntactic classes, reachable-data sets, and B-safety."""
 
 import hashlib
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from consfree.compiler import compile_tm
 from consfree.engine import Budget, search_data_normal_forms
 from consfree.modules import gen_module, module_source, parse_module_expr
-from consfree.syntax import parse_atrs, parse_tm
-from consfree.terms import Atrs, Rule, Sort, Term, TermError, Variable, is_data, subterms
+from consfree import terms, validation
+from consfree.syntax import encode_input, parse_atrs, parse_tm
+from consfree.terms import (
+    Atrs, Rule, Sort, Term, TermError, Variable, arg_types, is_data, result_type, subterms,
+    sym_term,
+)
 from consfree.validation import (
+    BSet,
     NotBasic,
     check,
     compute_B,
@@ -18,7 +27,7 @@ from consfree.validation import (
     prune_ho_constructors,
 )
 
-from conftest import ATRS_NAMES, corpus_text, load, long_pattern_system, term
+from conftest import ATRS_NAMES, CORPUS, TESTS, corpus_text, load, long_pattern_system, term
 from oracles import is_B_safe
 
 EXPECTED = {
@@ -154,6 +163,99 @@ def test_data_universe_extends_B(majority):
     assert set(compute_B(s, majority).terms) <= set(universe.terms) | {s.args[0]}
 
 
+def basic_starts(atrs):
+    """A basic term per defined symbol of base type whose arguments are
+    sorts with a constant: that symbol applied to the first such constants."""
+    constants = {}
+    for sym in atrs.symbols.values():
+        if sym.is_constructor and isinstance(sym.type, Sort):
+            constants.setdefault(sym.type, sym_term(sym))
+    starts = []
+    for sym in atrs.defined_symbols():
+        types = arg_types(sym.type)
+        if isinstance(result_type(sym.type), Sort) and all(ty in constants for ty in types):
+            starts.append(sym_term(sym, *[constants[ty] for ty in types]))
+    return starts
+
+
+def test_building_B_prints_nothing(monkeypatch):
+    # over the corpus and the compiled machines of the end-to-end test, on
+    # every input of length 1 to 3
+    cases = []
+    for name in ATRS_NAMES:
+        atrs = load(name)
+        cases += [(atrs, s) for s in basic_starts(atrs)]
+    for machine, module in itertools.product(["contains1.tm", "parity.tm"], ["prod(lin,lin)", "e"]):
+        atrs = compile_tm(parse_tm(corpus_text(machine)), parse_module_expr(module)).atrs
+        for n in range(1, 4):
+            for bits in itertools.product("01", repeat=n):
+                x = encode_input("".join(bits), atrs)
+                cases.append((atrs, sym_term(atrs.symbols["decide"], x)))
+    assert len({id(atrs) for atrs, _ in cases}) == len(ATRS_NAMES) + 4
+
+    def refuse(t):
+        raise AssertionError(f"a term headed by {t.head} was printed")
+
+    monkeypatch.setattr(terms, "print_term", refuse)
+    monkeypatch.setattr(validation, "print_term", refuse)
+    for atrs, s in cases:
+        assert len(compute_B(s, atrs)) > 0
+
+
+def test_B_orders_its_members_by_structure(majority):
+    B = compute_B(term("majority (1 ; 0 ; [])", majority), majority)
+    assert [str(t) for t in B.of_type(Sort("list"))] == ["[]", "0 ; []", "1 ; 0 ; []"]
+    assert [str(t) for t in B.of_type(Sort("symb"))] == ["0", "1"]
+    assert [str(t) for t in B] == ["0", "1", "[]", "0 ; []", "1 ; 0 ; []"]
+    for ty in (Sort("list"), Sort("symb")):
+        assert [B.position[t] for t in B.of_type(ty)] == list(range(len(B.of_type(ty))))
+    # not closed under subterms: the ranks come from the subterm closure
+    gappy = BSet(frozenset([term("1 ; 1 ; []", majority), term("0 ; []", majority)]))
+    assert [str(t) for t in gappy] == ["0 ; []", "1 ; 1 ; []"]
+
+
+def test_B_order_depends_on_the_set_alone():
+    # in children under two hash seeds, B is built four times each from the
+    # same members, created and collected in shuffled orders, with one member
+    # left out so that the set is not closed under subterms
+    script = (
+        "import gc, random, sys\n"
+        "from consfree.syntax import encode_input, parse_atrs\n"
+        "from consfree.terms import Sort\n"
+        "from consfree.validation import BSet, data_universe\n"
+        "text = open(sys.argv[1]).read()\n"
+        "for k in range(4):\n"
+        "    rng = random.Random(k)\n"
+        "    atrs = parse_atrs(text)\n"
+        "    words = ['0110', '1', '10', '001', '111', '0']\n"
+        "    rng.shuffle(words)\n"
+        "    seeds = [encode_input(word, atrs) for word in words]\n"
+        "    members = list(data_universe(seeds, atrs).terms)\n"
+        "    rng.shuffle(members)\n"
+        "    gap = encode_input('10', atrs)\n"
+        "    B = BSet(frozenset(t for t in members if t is not gap))\n"
+        "    print([[str(t) for t in B.of_type(Sort(name))] for name in atrs.sorts])\n"
+        "    del atrs, seeds, members, gap, B\n"
+        "    gc.collect()\n"
+    )
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = seed
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(CORPUS / "majority.atrs")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 4
+        outputs.update(lines)
+    assert len(outputs) == 1, outputs
+
+
 # -- the layer's digest -------------------------------------------------------
 
 MODULES = ["lin", "e", "prod(lin,lin)", "exp(lin)", "pipi(prod(lin,lin))", "expab(1,1)"]
@@ -258,7 +360,7 @@ def _layer_outcome(label, atrs):
     pruned, removed = prune_ho_constructors(atrs)
     universe = data_universe([], atrs)
     by_sort = [
-        (sort, [str(t) for t in universe.of_type(Sort(sort))]) for sort in atrs.sorts
+        (sort, sorted(str(t) for t in universe.of_type(Sort(sort)))) for sort in atrs.sorts
     ]
     line = repr((label, flags, violations, removed, [r.name for r in pruned.rules], by_sort))
     return line, kinds
